@@ -81,8 +81,6 @@ def _build_parser() -> _Parser:
             metavar="KEY=VALUE",
             help="override any config key by dotted path",
         )
-        if name == "run":
-            p.add_argument("--resume-from", choices=list(STAGES), dest="resume_from")
     return parser
 
 
@@ -128,7 +126,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         if args.command == "run":
-            report = run_pipeline(config, resume_from=args.resume_from)
+            report = run_pipeline(config)
             metrics = report["metrics"]
             print(
                 f"ok run: out={config.out_dir} "

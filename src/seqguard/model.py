@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .optim import AdamW, Diverged, clip_gradients
-from .sessions import PAD_ID, LabeledWindow
+from .sessions import PAD_ID
 from .tensor import Tape, Tensor
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -225,24 +225,12 @@ def classifier_logits(
     """Head logits at each window's last real position; rows align with windows."""
     ids = _as_id_matrix(ids)
     batch, seq_len = ids.shape
+    if batch == 0:
+        return Tensor(np.zeros((0, 2)))
     hidden = decoder_hidden(tape, params, ids, dropout_rng)
     rows = [w * seq_len + int(last_index[w]) for w in range(batch)]
     readout = tape.gather_rows(hidden, rows)
     return tape.add_bias(tape.matmul(readout, params["head_w"]), params["head_b"])
-
-
-def forward_classifier(
-    params: ModelParams, windows: Sequence[LabeledWindow]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inference pass: (logits, p_anomaly) per window, no recording."""
-    if not windows:
-        return np.zeros((0, 2)), np.zeros(0)
-    ids = np.array([w.event_ids for w in windows], dtype=np.int64)
-    last = [last_real_index(w.event_ids) for w in windows]
-    tape = Tape(record=False)
-    logits = classifier_logits(tape, params, ids, last)
-    probs = tape.softmax_rows(logits)
-    return logits.data.copy(), probs.data[:, 1].copy()
 
 
 def position_logits(params: ModelParams, ids) -> np.ndarray:

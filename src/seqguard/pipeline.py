@@ -2,19 +2,28 @@
 -> judge -> compare -> report, plus the three-arm ablation.
 
 Every stage reads only input files and artifacts written by earlier
-stages, so each is independently re-runnable and the pipeline can resume
-mid-way. All artifacts live under the configured output directory.
+stages, so each is independently re-runnable. All artifacts live under
+the configured output directory. ``GRAPH`` lists each stage with the
+config it reads and the files it reads and writes; a stage's key hashes
+that config slice and the contents of its input files. ``run_stage``
+records the key of every stage that succeeds in ``stage_keys.json``, and
+``run_pipeline`` skips a stage whose recorded key still matches and whose
+outputs all exist, so a rerun repeats only what its changes touch. The
+ablation arms share their upstream stages the same way.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
 import os
 import re
+import shutil
 import time
 from collections import Counter
-from dataclasses import replace
-from typing import Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Optional
 
 from .config import ExperimentConfig, derive_seed, dump_json_file, load_json_file
 from .drain import (
@@ -65,11 +74,15 @@ from .sessions import (
 )
 from .training import TrainConfig, evaluate, train, write_curve_csv, write_epochs_csv
 
-STAGES = ("parse", "sessionize", "dataset", "train", "eval", "judge", "compare", "report")
-
 SPECIAL_VOCAB_ENTRIES = ["<pad>", "<unk>", "<cls>"]
 
 LOCAL_MODEL_NAME = "local_decoder"
+
+# Model inputs per ablation arm: whitespace tokens of the unparsed messages,
+# or mined template (event) ids.
+RAW_TOKENS = "raw_tokens"
+TEMPLATES = "templates"
+ARM_ENCODING = {"A": RAW_TOKENS, "B": TEMPLATES, "C": TEMPLATES}
 
 
 class StageError(RuntimeError):
@@ -106,47 +119,28 @@ def artifact_paths(out_dir: str) -> dict[str, str]:
         "comparison": "comparison.csv",
         "report": "report.json",
         "summary": "summary.txt",
+        "stage_keys": "stage_keys.json",
     }
     return {key: os.path.join(out_dir, name) for key, name in names.items()}
 
 
 def _read_sessions_jsonl(path: str) -> list[Session]:
-    import json
-
     sessions = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            sessions.append(
-                Session(
-                    session_id=obj["session_id"],
-                    event_ids=list(obj["event_ids"]),
-                    label=int(obj["label"]),
-                    line_numbers=list(obj["line_numbers"]),
+            if line.strip():
+                obj = json.loads(line)
+                sessions.append(
+                    Session(obj["session_id"], obj["event_ids"], int(obj["label"]),
+                            obj["line_numbers"])
                 )
-            )
     return sessions
 
 
 def _write_sessions_jsonl(path: str, sessions: list[Session]) -> None:
-    import json
-
     with open(path, "w", encoding="utf-8") as handle:
         for s in sessions:
-            handle.write(
-                json.dumps(
-                    {
-                        "event_ids": s.event_ids,
-                        "label": s.label,
-                        "line_numbers": s.line_numbers,
-                        "session_id": s.session_id,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            handle.write(json.dumps(vars(s), sort_keys=True) + "\n")
 
 
 def stage_parse(config: ExperimentConfig) -> dict:
@@ -302,7 +296,8 @@ def stage_dataset(config: ExperimentConfig) -> dict:
         windows, config.train_fraction, derive_seed(config.seed, "split")
     )
 
-    if config.arm == "A":
+    encoding = ARM_ENCODING[config.arm]
+    if encoding == RAW_TOKENS:
         split_result, entries = _rebuild_raw_windows(config, split_result, sessions)
     else:
         templates = load_templates(paths["templates"])
@@ -310,7 +305,7 @@ def stage_dataset(config: ExperimentConfig) -> dict:
 
     dump_json_file(
         paths["vocab"],
-        {"arm": config.arm, "entries": entries, "window_length": window_length},
+        {"encoding": encoding, "entries": entries, "window_length": window_length},
     )
     write_windows_jsonl(split_result.train, paths["train_windows"])
     write_windows_jsonl(split_result.val, paths["val_windows"])
@@ -412,8 +407,6 @@ def stage_train(config: ExperimentConfig) -> dict:
 
 
 def stage_eval(config: ExperimentConfig) -> dict:
-    import csv
-
     paths = artifact_paths(config.out_dir)
     vocab = load_json_file(paths["vocab"])
     params, _ = load_checkpoint(
@@ -457,9 +450,9 @@ def _judge_config(config: ExperimentConfig) -> JudgeConfig:
 def stage_judge(config: ExperimentConfig, transport=None) -> dict:
     paths = artifact_paths(config.out_dir)
     vocab = load_json_file(paths["vocab"])
-    if vocab["arm"] == "A":
+    if vocab["encoding"] != TEMPLATES:
         raise ValueError(
-            "judge stage needs event-id windows; arm A datasets hold raw tokens"
+            "judge stage needs event-id windows; this dataset holds raw tokens (arm A)"
         )
     templates = load_templates(paths["templates"])
     table = vocab_template_table(templates)
@@ -480,8 +473,6 @@ def stage_judge(config: ExperimentConfig, transport=None) -> dict:
 
 
 def stage_compare(config: ExperimentConfig) -> dict:
-    import csv
-
     paths = artifact_paths(config.out_dir)
     vocab = load_json_file(paths["vocab"])
     val_windows = read_windows_jsonl(paths["val_windows"], vocab["window_length"])
@@ -506,12 +497,19 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def assemble_report(
+def stage_report(
     config: ExperimentConfig,
-    wall_clock_seconds: float,
-    stages_run: list[str],
+    wall_clock_seconds: float = 0.0,
+    stages_run: Optional[list[str]] = None,
 ) -> dict:
+    """Write report.json and summary.txt from the artifacts of the earlier
+    stages, which must already exist."""
     paths = artifact_paths(config.out_dir)
+    for key in ("comparison", "curve", "roc", "confusion"):
+        if not os.path.exists(paths[key]):
+            raise FileNotFoundError(
+                f"report needs {paths[key]}; run the producing stage first"
+            )
     manifest = load_json_file(paths["split_manifest"])
     report = {
         "arm": config.arm,
@@ -524,33 +522,17 @@ def assemble_report(
         "train": load_json_file(paths["train_summary"]),
         "metrics": load_json_file(paths["eval_metrics"]),
         "files": {
-            "curve": os.path.basename(paths["curve"]),
-            "epochs": os.path.basename(paths["epochs"]),
-            "roc": os.path.basename(paths["roc"]),
-            "comparison": os.path.basename(paths["comparison"]),
-            "confusion": os.path.basename(paths["confusion"]),
-            "checkpoint": os.path.basename(paths["checkpoint"]),
+            key: os.path.basename(paths[key])
+            for key in ("curve", "epochs", "roc", "comparison", "confusion", "checkpoint")
         },
         "artifacts": sorted(
             name
             for name in os.listdir(config.out_dir)
             if os.path.isfile(os.path.join(config.out_dir, name))
         ),
-        "stages_run": stages_run,
+        "stages_run": stages_run or ["report"],
         "wall_clock_seconds": wall_clock_seconds,
     }
-    return report
-
-
-def emit_report(report: dict, out_dir: str) -> None:
-    """Write report.json and summary.txt; the referenced CSV/grid artifacts
-    must already exist (they are produced by their stages)."""
-    paths = artifact_paths(out_dir)
-    for key in ("comparison", "curve", "roc", "confusion"):
-        if not os.path.exists(paths[key]):
-            raise FileNotFoundError(
-                f"report needs {paths[key]}; run the producing stage first"
-            )
     dump_json_file(paths["report"], report)
     metrics = report["metrics"]
     counts = metrics["counts"]
@@ -574,75 +556,137 @@ def emit_report(report: dict, out_dir: str) -> None:
     ]
     with open(paths["summary"], "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-def stage_report(
-    config: ExperimentConfig,
-    wall_clock_seconds: float = 0.0,
-    stages_run: Optional[list[str]] = None,
-) -> dict:
-    report = assemble_report(config, wall_clock_seconds, stages_run or ["report"])
-    emit_report(report, config.out_dir)
     return report
 
 
-_STAGE_FUNCS = {
-    "parse": stage_parse,
-    "sessionize": stage_sessionize,
-    "dataset": stage_dataset,
-    "train": stage_train,
-    "eval": stage_eval,
-    "judge": stage_judge,
-    "compare": stage_compare,
-}
+@dataclass(frozen=True)
+class Stage:
+    """One node of the stage graph. ``reads`` returns the config slice the
+    stage depends on (never ``out_dir``); ``inputs`` and ``outputs`` name
+    files by their ``artifact_paths`` key, and ``logs``/``labels`` name the
+    input files. A stage without ``reads`` has no key and always runs."""
+
+    name: str
+    func: Callable[..., dict]
+    reads: Optional[Callable[[ExperimentConfig], object]]
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+
+
+GRAPH = (
+    Stage("parse", stage_parse, lambda c: c.drain, ("logs",),
+          ("templates", "structured", "rejects", "parse_stats")),
+    Stage("sessionize", stage_sessionize, lambda c: None, ("structured", "labels"),
+          ("sessions", "sessionize_stats")),
+    # Raw tokens come from the logs, event ids from the templates; the key
+    # covers both, so it may rerun more than needed but never less.
+    Stage("dataset", stage_dataset,
+          lambda c: [ARM_ENCODING[c.arm], c.seed, c.sample_size, c.train_fraction, c.window,
+                     c.raw_vocab_size, c.drain.header_pattern],
+          ("sessions", "templates", "logs"),
+          ("vocab", "train_windows", "val_windows", "split_manifest")),
+    Stage("train", stage_train,
+          lambda c: [c.seed, c.train_fraction, c.window.window_length, c.model, c.train],
+          ("vocab", "train_windows", "val_windows"),
+          ("checkpoint", "curve", "epochs", "train_summary")),
+    Stage("eval", stage_eval,
+          lambda c: [c.train.loss, c.train.alpha, c.train.gamma, c.train.threshold],
+          ("vocab", "checkpoint", "val_windows"), ("eval_metrics", "scores", "roc", "confusion")),
+    Stage("judge", stage_judge, lambda c: c.judge, ("vocab", "templates", "val_windows"),
+          ("verdicts",)),
+    Stage("compare", stage_compare, lambda c: [c.judge.model, c.train.threshold],
+          ("vocab", "val_windows", "scores", "verdicts"), ("comparison",)),
+    Stage("report", stage_report, None,
+          ("split_manifest", "train_summary", "eval_metrics", "comparison", "curve", "roc",
+           "confusion"),
+          ("report", "summary")),
+)
+
+_BY_NAME = {stage.name: stage for stage in GRAPH}
+STAGES = tuple(_BY_NAME)
+
+
+def _stage_key(stage: Stage, config: ExperimentConfig) -> str:
+    """sha256 of the stage's config slice and of its input files' contents;
+    an absent input (say, verdicts with the judge off) hashes as absent."""
+    files = dict(artifact_paths(config.out_dir), logs=config.logs, labels=config.labels)
+    config_slice = json.dumps(stage.reads(config), sort_keys=True, default=asdict)
+    digest = hashlib.sha256(config_slice.encode("utf-8"))
+    for name in stage.inputs:
+        path = files[name]
+        content = _file_sha256(path) if os.path.exists(path) else "absent"
+        digest.update(f"\n{name}:{content}".encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _recorded_keys(out_dir: str) -> dict[str, str]:
+    path = artifact_paths(out_dir)["stage_keys"]
+    return load_json_file(path) if os.path.exists(path) else {}
+
+
+def _record_key(out_dir: str, name: str, key: Optional[str]) -> None:
+    """Record one stage's key, or drop it when ``key`` is None."""
+    keys = _recorded_keys(out_dir)
+    if key is None:
+        if keys.pop(name, None) is None:
+            return
+    else:
+        keys[name] = key
+    dump_json_file(artifact_paths(out_dir)["stage_keys"], keys)
+
+
+def _is_current(stage: Stage, config: ExperimentConfig, recorded: dict) -> bool:
+    paths = artifact_paths(config.out_dir)
+    return (
+        stage.name in recorded
+        and all(os.path.exists(paths[name]) for name in stage.outputs)
+        and recorded[stage.name] == _stage_key(stage, config)
+    )
 
 
 def run_stage(name: str, config: ExperimentConfig, **kwargs) -> dict:
+    """Run one stage and record its key once it succeeds. The old key is
+    dropped first, so outputs a failing stage left half written are never
+    taken as current."""
     try:
-        if name == "report":
-            return stage_report(config, **kwargs)
-        return _STAGE_FUNCS[name](config, **kwargs)
+        stage = _BY_NAME[name]
+        if stage.reads is None:
+            return stage.func(config, **kwargs)
+        key = _stage_key(stage, config)
+        _record_key(config.out_dir, name, None)
+        result = stage.func(config, **kwargs)
+        _record_key(config.out_dir, name, key)
+        return result
     except StageError:
         raise
     except BaseException as exc:
         raise StageError(name, exc) from exc
 
 
-def run_pipeline(
-    config: ExperimentConfig,
-    resume_from: Optional[str] = None,
-    judge_transport=None,
-) -> dict:
-    """Execute all stages in order; artifacts written so far survive a
-    failing stage. The judge stage is skipped unless enabled in config."""
-    if resume_from is not None and resume_from not in STAGES:
-        raise ValueError(f"unknown stage {resume_from!r}; expected one of {STAGES}")
+def run_pipeline(config: ExperimentConfig, judge_transport=None) -> dict:
+    """Run every stage that is not current, then the report; artifacts
+    written so far survive a failing stage. The judge stage runs only when
+    enabled in config, and never on raw-token datasets."""
     started = time.monotonic()
     os.makedirs(config.out_dir, exist_ok=True)
-    paths = artifact_paths(config.out_dir)
-    dump_json_file(paths["config"], config.to_dict())
+    dump_json_file(artifact_paths(config.out_dir)["config"], config.to_dict())
+    run_judge = config.judge.enabled and ARM_ENCODING[config.arm] == TEMPLATES
+    recorded = _recorded_keys(config.out_dir)
 
     stages_run: list[str] = []
-    skipping = resume_from is not None
-    for name in STAGES:
-        if skipping:
-            if name == resume_from:
-                skipping = False
-            else:
-                continue
-        if name == "judge" and not config.judge.enabled:
+    for stage in GRAPH[:-1]:  # the report always runs, last
+        if stage.name == "judge" and not run_judge:
             continue
-        if name == "report":
+        if _is_current(stage, config, recorded):
             continue
-        kwargs = {"transport": judge_transport} if name == "judge" else {}
-        run_stage(name, config, **kwargs)
-        stages_run.append(name)
+        kwargs = {"transport": judge_transport} if stage.name == "judge" else {}
+        run_stage(stage.name, config, **kwargs)
+        stages_run.append(stage.name)
 
     wall = time.monotonic() - started
-    report = run_stage(
+    return run_stage(
         "report", config, wall_clock_seconds=wall, stages_run=stages_run + ["report"]
     )
-    return report
 
 
 ARM_LOSS = {"A": LOSS_CROSS_ENTROPY, "B": LOSS_CROSS_ENTROPY, "C": LOSS_FOCAL}
@@ -661,14 +705,21 @@ def arm_config(config: ExperimentConfig, arm: str) -> ExperimentConfig:
 
 def run_ablation(config: ExperimentConfig, judge_transport=None) -> dict:
     """Run arms A (raw tokens + CE), B (event ids + CE), C (event ids +
-    Focal) on the identical sampled split; emit a per-arm summary table."""
-    import csv
+    Focal) on the identical sampled split; emit a per-arm summary table.
 
+    A new arm directory starts as a copy of the previous arm's, so the
+    stage keys let B reuse A's parse and sessionize, and C reuse B's
+    dataset and judge."""
     os.makedirs(config.out_dir, exist_ok=True)
     arms = {}
     manifest_hashes = {}
+    previous = None
     for arm in ("A", "B", "C"):
         cfg = arm_config(config, arm)
+        if previous is not None and not os.path.exists(cfg.out_dir):
+            # A copy, not hard links: stages rewrite their outputs in place.
+            shutil.copytree(previous, cfg.out_dir)
+        previous = cfg.out_dir
         report = run_pipeline(cfg, judge_transport=judge_transport)
         arms[arm] = report
         manifest_hashes[arm] = report["dataset"]["split_manifest_sha256"]
@@ -679,39 +730,16 @@ def run_ablation(config: ExperimentConfig, judge_transport=None) -> dict:
             AssertionError(f"arms disagree on the split manifest: {manifest_hashes}"),
         )
 
-    summary_rows = []
-    for arm in ("A", "B", "C"):
-        m = arms[arm]["metrics"]
-        summary_rows.append(
-            {
-                "arm": arm,
-                "loss": ARM_LOSS[arm],
-                "accuracy": m["accuracy"],
-                "precision": m["precision"],
-                "recall": m["recall"],
-                "f1": m["f1"],
-                "auc": m["auc"],
-            }
-        )
+    columns = ["arm", "loss", "accuracy", "precision", "recall", "f1", "auc"]
+    summary_rows = [
+        {"arm": arm, "loss": ARM_LOSS[arm], **{k: arms[arm]["metrics"][k] for k in columns[2:]}}
+        for arm in ("A", "B", "C")
+    ]
     csv_path = os.path.join(config.out_dir, "ablation.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["arm", "loss", "accuracy", "precision", "recall", "f1", "auc"])
-        for row in summary_rows:
-            writer.writerow(
-                [
-                    row["arm"],
-                    row["loss"],
-                    str(row["accuracy"]),
-                    str(row["precision"]),
-                    str(row["recall"]),
-                    str(row["f1"]),
-                    str(row["auc"]),
-                ]
-            )
-    summary = {
-        "split_manifest_sha256": manifest_hashes["C"],
-        "rows": summary_rows,
-    }
+        writer.writerow(columns)
+        writer.writerows([row[k] for k in columns] for row in summary_rows)
+    summary = {"split_manifest_sha256": manifest_hashes["C"], "rows": summary_rows}
     dump_json_file(os.path.join(config.out_dir, "ablation_summary.json"), summary)
     return summary

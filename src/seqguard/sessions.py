@@ -43,10 +43,6 @@ def extract_block_id(content: str) -> Optional[str]:
     return m.group(0) if m else None
 
 
-def count_block_ids(content: str) -> int:
-    return len(_BLOCK_RE.findall(content))
-
-
 @dataclass
 class Session:
     """All events of one block, in source line order, with its binary label."""

@@ -85,18 +85,14 @@ class Tape:
 
     With ``record=False`` the ops still compute forward values but leave
     no trace, which keeps repeated forward-only evaluations (finite
-    differences, validation) cheap. ``debug_checks`` adds NaN/Inf guards
-    at every op boundary.
+    differences, validation) cheap.
     """
 
-    def __init__(self, record: bool = True, debug_checks: bool = False):
+    def __init__(self, record: bool = True):
         self.record = record
-        self.debug_checks = debug_checks
         self._nodes: list[_Node] = []
 
     def _emit(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-        if self.debug_checks and not np.isfinite(out.data).all():
-            raise FloatingPointError("non-finite values at op boundary")
         if self.record:
             out.requires_grad = any(t.requires_grad for t in inputs)
             if out.requires_grad:

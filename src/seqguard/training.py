@@ -17,7 +17,7 @@ import numpy as np
 
 from .losses import LOSS_CROSS_ENTROPY, LOSS_FOCAL, FocalParams, classification_loss
 from .metrics import DEFAULT_THRESHOLD, MetricsReport, full_report
-from .model import ModelParams, classifier_logits, forward_classifier, last_real_index
+from .model import ModelParams, classifier_logits, last_real_index
 from .optim import AdamW, Diverged, NonFiniteGradient, clip_gradients, lr_schedule
 from .sessions import DatasetSplit, LabeledWindow
 from .tensor import Tape
@@ -272,15 +272,3 @@ def write_epochs_csv(path: str, rows: Sequence[EpochRow]) -> None:
             writer.writerow(
                 [r.epoch, str(r.accuracy), str(r.precision), str(r.recall), str(r.f1), str(r.auc)]
             )
-
-
-def score_windows(
-    params: ModelParams, windows: Sequence[LabeledWindow], batch_size: int = 32
-) -> np.ndarray:
-    """p(anomaly) per window without computing a loss."""
-    scores = np.zeros(len(windows))
-    for lo in range(0, len(windows), batch_size):
-        chunk = windows[lo : lo + batch_size]
-        _, p = forward_classifier(params, chunk)
-        scores[lo : lo + len(chunk)] = p
-    return scores

@@ -17,7 +17,6 @@ from seqguard.model import (
     causal_attention,
     classifier_logits,
     decoder_hidden,
-    forward_classifier,
     forward_lm,
     last_real_index,
     lm_loss,
@@ -40,6 +39,15 @@ def _windows(ids_rows):
         LabeledWindow(f"w{i}#0", list(row), 0, sum(1 for e in row if e == PAD_ID))
         for i, row in enumerate(ids_rows)
     ]
+
+
+def _classify(params, windows):
+    """(logits, p_anomaly) per window, read out at the last real position."""
+    tape = Tape(record=False)
+    ids = np.array([w.event_ids for w in windows], dtype=np.int64)
+    last = [last_real_index(w.event_ids) for w in windows]
+    logits = classifier_logits(tape, params, ids, last)
+    return logits.data, tape.softmax_rows(logits).data[:, 1]
 
 
 class TestConfig:
@@ -142,13 +150,15 @@ class TestForward:
     def test_classifier_shapes_and_range(self):
         params = tiny_model()
         windows = _windows([[3, 4, 5, 0], [6, 7, 0, 0]])
-        logits, p = forward_classifier(params, windows)
+        logits, p = _classify(params, windows)
         assert logits.shape == (2, 2)
         assert p.shape == (2,)
         assert np.all((p >= 0) & (p <= 1))
 
     def test_empty_batch(self):
-        logits, p = forward_classifier(tiny_model(), [])
+        tape = Tape(record=False)
+        logits = classifier_logits(tape, tiny_model(), np.zeros((0, 4), dtype=np.int64), [])
+        p = tape.softmax_rows(logits).data[:, 1]
         assert logits.shape == (0, 2) and p.shape == (0,)
 
     def test_readout_at_last_real_position(self):
@@ -157,8 +167,8 @@ class TestForward:
         params = tiny_model()
         a = _windows([[3, 4, 5, PAD_ID]])
         b = _windows([[3, 4, 5, PAD_ID, PAD_ID, PAD_ID]])
-        la, _ = forward_classifier(params, a)
-        lb, _ = forward_classifier(params, b)
+        la, _ = _classify(params, a)
+        lb, _ = _classify(params, b)
         assert np.array_equal(la, lb)
 
     def test_last_real_index(self):
@@ -169,21 +179,21 @@ class TestForward:
 
     def test_all_pad_window_rejected(self):
         with pytest.raises(SequenceTooShort):
-            forward_classifier(tiny_model(), _windows([[PAD_ID, PAD_ID]]))
+            _classify(tiny_model(), _windows([[PAD_ID, PAD_ID]]))
 
     def test_sequence_too_long(self):
         params = tiny_model(max_seq_len=4)
         with pytest.raises(SequenceTooLong):
-            forward_classifier(params, _windows([[3, 4, 5, 6, 7]]))
+            _classify(params, _windows([[3, 4, 5, 6, 7]]))
 
     def test_out_of_vocab_id_rejected(self):
         with pytest.raises(ValueError):
-            forward_classifier(tiny_model(), _windows([[3, 99]]))
+            _classify(tiny_model(), _windows([[3, 99]]))
 
     def test_probabilities_from_both_logit_columns(self):
         params = tiny_model()
         windows = _windows([[3, 4, 5, 6]])
-        logits, p = forward_classifier(params, windows)
+        logits, p = _classify(params, windows)
         z = logits[0] - logits[0].max()
         e = np.exp(z)
         assert p[0] == pytest.approx(e[1] / e.sum(), abs=1e-12)
@@ -203,9 +213,9 @@ class TestForward:
         # Stacking windows in one batch must not couple them.
         params = tiny_model(n_layers=2)
         rows = [[3, 4, 5, 6], [7, 8, 9, 10]]
-        batched, _ = forward_classifier(params, _windows(rows))
+        batched, _ = _classify(params, _windows(rows))
         for i, row in enumerate(rows):
-            single, _ = forward_classifier(params, _windows([row]))
+            single, _ = _classify(params, _windows([row]))
             assert np.allclose(batched[i], single[0], atol=1e-12)
 
 

@@ -5,11 +5,14 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from seqguard import pipeline
 from seqguard.cli import _exit_code_for, main
 from seqguard.config import config_from_dict, dump_json_file, load_json_file
 from seqguard.drain import load_templates
@@ -69,6 +72,35 @@ def _staged(tmp_path, through="dataset", **overrides):
         if name == through:
             break
     return config
+
+
+def _write_fixtures(config, fixtures_dir, oracle):
+    """One judge fixture per val window prompt of ``config``'s dataset."""
+    paths = artifact_paths(config.out_dir)
+    table = vocab_template_table(load_templates(paths["templates"]))
+    vocab = load_json_file(paths["vocab"])
+    windows = read_windows_jsonl(paths["val_windows"], vocab["window_length"])
+    os.makedirs(fixtures_dir, exist_ok=True)
+    for w in windows:
+        prompt = build_prompt(w, table)
+        body = {"choices": [{"message": {"content": oracle(w)}}]}
+        with open(os.path.join(fixtures_dir, f"{prompt_hash(prompt)}.json"), "w") as handle:
+            json.dump(body, handle)
+    return len(windows)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Counts the stages that run_pipeline executes, by name."""
+    calls = Counter()
+    real = pipeline.run_stage
+
+    def counting(name, config, **kwargs):
+        calls[name] += 1
+        return real(name, config, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_stage", counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +193,8 @@ class TestDeterminism:
         # come back byte for byte.
         tracked = sorted(set(paths) - {"verdicts", "report", "summary"})
         before = {key: open(paths[key], "rb").read() for key in tracked}
+        # A fresh directory, so the second run recomputes every stage.
+        shutil.rmtree(config.out_dir)
         run_pipeline(config)
         for key in tracked:
             assert open(paths[key], "rb").read() == before[key], key
@@ -177,21 +211,80 @@ class TestDeterminism:
 
 
 class TestResume:
-    def test_resume_reruns_suffix_only(self, tmp_path):
+    """A rerun in the same directory reuses every stage whose recorded key
+    (config slice and input contents) still matches and whose outputs exist."""
+
+    def test_unchanged_rerun_reuses_every_stage(self, tmp_path):
+        config = config_from_dict(_payload(tmp_path))
+        run_pipeline(config)
+        keys = load_json_file(artifact_paths(config.out_dir)["stage_keys"])
+        assert sorted(keys) == sorted(set(STAGES) - {"judge", "report"})
+        assert run_pipeline(config)["stages_run"] == ["report"]
+
+    def test_deleted_scores_rerun_eval_only(self, tmp_path):
         config = config_from_dict(_payload(tmp_path))
         run_pipeline(config)
         paths = artifact_paths(config.out_dir)
-        os.remove(paths["eval_metrics"])
         os.remove(paths["scores"])
-        report = run_pipeline(config, resume_from="eval")
-        assert report["stages_run"] == ["eval", "compare", "report"]
-        assert os.path.exists(paths["eval_metrics"])
+        report = run_pipeline(config)
+        # eval rewrites scores.csv byte for byte, so compare stays current.
+        assert report["stages_run"] == ["eval", "report"]
         assert os.path.exists(paths["scores"])
 
-    def test_resume_from_unknown_stage(self, tmp_path):
+    def test_loss_change_reruns_from_train(self, tmp_path):
+        payload = _payload(tmp_path, train={"loss": "focal"})
+        run_pipeline(config_from_dict(payload))
+        payload["train"]["loss"] = "cross_entropy"
+        report = run_pipeline(config_from_dict(payload))
+        assert report["stages_run"] == ["train", "eval", "compare", "report"]
+        assert report["config"]["train"]["loss"] == "cross_entropy"
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            # Sessions run to 8 lines, so only a shorter window feels the stride.
+            ({"window": {"window_length": 4, "stride": 4}}, {"window": {"stride": 2}}),
+            ({}, {"sample_size": 50}),
+        ],
+        ids=["stride", "sample_size"],
+    )
+    def test_dataset_change_reruns_from_dataset(self, tmp_path, before, after):
+        payload = _payload(tmp_path, **before)
+        first = run_pipeline(config_from_dict(payload))
+        for key, value in after.items():
+            payload[key] = dict(payload[key], **value) if isinstance(value, dict) else value
+        report = run_pipeline(config_from_dict(payload))
+        assert report["stages_run"] == [
+            "dataset", "train", "eval", "compare", "report"
+        ]
+        # The counts are those of the new config, as a fresh run gives them.
+        fresh = run_pipeline(
+            config_from_dict(dict(payload, out_dir=str(tmp_path / "fresh")))
+        )
+        assert report["dataset"] == fresh["dataset"]
+        assert report["dataset"]["counts"] != first["dataset"]["counts"]
+
+    def test_log_edit_reruns_every_stage(self, tmp_path):
+        payload = _payload(tmp_path)
+        run_pipeline(config_from_dict(payload))
+        logs = tmp_path / "hdfs.log"
+        logs.write_text("".join(logs.read_text().splitlines(keepends=True)[:-1]))
+        report = run_pipeline(config_from_dict(payload))
+        assert report["stages_run"] == [
+            "parse", "sessionize", "dataset", "train", "eval", "compare", "report"
+        ]
+
+    def test_failed_stage_is_not_current(self, tmp_path):
         config = config_from_dict(_payload(tmp_path))
-        with pytest.raises(ValueError, match="unknown stage"):
-            run_pipeline(config, resume_from="evaluate")
+        run_pipeline(config)
+        diverging = _payload(
+            tmp_path, train={"learning_rate": 1e12, "max_grad_norm": 1e18, "epochs": 3}
+        )
+        with np.errstate(all="ignore"), pytest.raises(StageError):
+            run_pipeline(config_from_dict(diverging))
+        keys = load_json_file(artifact_paths(config.out_dir)["stage_keys"])
+        assert "train" not in keys
+        assert run_pipeline(config)["stages_run"][0] == "train"
 
     def test_report_requires_upstream_artifacts(self, tmp_path):
         config = _staged(tmp_path, through="dataset")
@@ -231,7 +324,7 @@ class TestArmA:
     def test_raw_token_vocabulary(self, tmp_path):
         config = _staged(tmp_path, through="dataset", arm="A")
         vocab = load_json_file(artifact_paths(config.out_dir)["vocab"])
-        assert vocab["arm"] == "A"
+        assert vocab["encoding"] == "raw_tokens"
         assert vocab["entries"][:3] == ["<pad>", "<unk>", "<cls>"]
         # Raw message words, not mined templates.
         assert any("blk_" in entry for entry in vocab["entries"][3:])
@@ -255,37 +348,22 @@ class TestArmA:
         out.mkdir()
         dump_json_file(
             str(out / "vocab.json"),
-            {"arm": "A", "entries": ["<pad>", "<unk>", "<cls>"], "window_length": 8},
+            {"encoding": "raw_tokens", "entries": ["<pad>", "<unk>", "<cls>"],
+             "window_length": 8},
         )
         config = config_from_dict(
             {"out_dir": str(out), "logs": "x", "labels": "y"}
         )
-        with pytest.raises(ValueError, match="arm A"):
+        with pytest.raises(ValueError, match="raw tokens"):
             stage_judge(config)
 
 
 class TestJudgeStage:
-    def _fixtures_for(self, config, fixtures_dir, oracle):
-        paths = artifact_paths(config.out_dir)
-        templates = load_templates(paths["templates"])
-        table = vocab_template_table(templates)
-        vocab = load_json_file(paths["vocab"])
-        windows = read_windows_jsonl(paths["val_windows"], vocab["window_length"])
-        os.makedirs(fixtures_dir, exist_ok=True)
-        for w in windows:
-            prompt = build_prompt(w, table)
-            body = {"choices": [{"message": {"content": oracle(w)}}]}
-            with open(
-                os.path.join(fixtures_dir, f"{prompt_hash(prompt)}.json"), "w"
-            ) as handle:
-                json.dump(body, handle)
-        return len(windows)
-
     def test_fixture_judge_and_comparison(self, tmp_path):
         config = config_from_dict(_payload(tmp_path))
         run_pipeline(config)
         fixtures = str(tmp_path / "fixtures")
-        n = self._fixtures_for(
+        n = _write_fixtures(
             config, fixtures, lambda w: "ANOMALY" if w.label else "NORMAL"
         )
         judged = replace(
@@ -352,6 +430,42 @@ class TestAblation:
             ]
             assert len(list(reader)) == 3
 
+    def test_arms_share_upstream_stages(self, tmp_path, stage_calls):
+        config = config_from_dict(_payload(tmp_path, n_sessions=60, n_anomalous=4))
+        run_ablation(config)
+        assert stage_calls == {
+            "parse": 1, "sessionize": 1, "dataset": 2,
+            "train": 3, "eval": 3, "compare": 3, "report": 3,
+        }
+        # Every arm directory still holds the full artifact set.
+        for arm in ("A", "B", "C"):
+            paths = artifact_paths(os.path.join(config.out_dir, f"arm_{arm}"))
+            missing = [key for key in paths if not os.path.exists(paths[key])]
+            assert missing == ["verdicts"], arm
+
+    def test_ablate_with_judge(self, tmp_path, stage_calls, capsys):
+        payload = _payload(tmp_path, n_sessions=60, n_anomalous=4)
+        # Fixtures for the event-id val windows that arms B and C share.
+        staged = arm_config(config_from_dict(dict(payload, out_dir=str(tmp_path / "fx"))), "B")
+        for name in ("parse", "sessionize", "dataset"):
+            run_stage(name, staged)
+        fixtures = str(tmp_path / "fixtures")
+        _write_fixtures(staged, fixtures, lambda w: "ANOMALY" if w.label else "NORMAL")
+        stage_calls.clear()
+        cfg = tmp_path / "config.json"
+        dump_json_file(str(cfg), payload)
+
+        code = main(["ablate", "--config", str(cfg), "--fixtures", fixtures,
+                     "--set", "judge.enabled=true"])
+        assert code == 0, capsys.readouterr().err
+        assert stage_calls["judge"] == 1
+        out = payload["out_dir"]
+        assert not os.path.exists(os.path.join(out, "arm_A", "judge_verdicts.jsonl"))
+        for arm in ("B", "C"):
+            with open(os.path.join(out, f"arm_{arm}", "comparison.csv"), newline="") as handle:
+                rows = {r["model"]: r for r in csv.DictReader(handle)}
+            assert float(rows["gpt-4"]["f1"]) == 1.0, arm
+
     def test_arm_config_isolation(self):
         config = config_from_dict({"out_dir": "base", "train": {"loss": "focal"}})
         a = arm_config(config, "A")
@@ -408,8 +522,9 @@ class TestCli:
         assert main(["run", "--seed", "notanint"]) == 1
         capsys.readouterr()
 
-    def test_resume_flag_only_on_run(self, capsys):
-        assert main(["parse", "--resume-from", "eval"]) == 1
+    def test_resume_flag_is_gone(self, capsys):
+        for command in ("run", "parse"):
+            assert main([command, "--resume-from", "eval"]) == 1, command
         capsys.readouterr()
 
     def test_bad_override_is_config_error(self, tmp_path, capsys):

@@ -14,7 +14,6 @@ from seqguard.sessions import (
     Session,
     UnlabeledSession,
     build_sessions,
-    count_block_ids,
     extract_block_id,
     load_label_table,
     read_windows_jsonl,
@@ -37,9 +36,6 @@ class TestBlockIds:
 
     def test_absent(self):
         assert extract_block_id("Verification succeeded") is None
-
-    def test_count(self):
-        assert count_block_ids("a blk_1 b blk_2 c blk_1") == 3
 
 
 def _rows(spec):

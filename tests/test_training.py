@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from seqguard.losses import LOSS_CROSS_ENTROPY, LOSS_FOCAL, FocalParams
-from seqguard.model import ModelConfig, ModelParams
+from seqguard.model import ModelConfig, ModelParams, classifier_logits, last_real_index
 from seqguard.optim import Diverged, lr_schedule
 from seqguard.sessions import DatasetSplit, LabeledWindow
+from seqguard.tensor import Tape
 from seqguard.training import (
     EmptySplit,
     TrainConfig,
     evaluate,
     planned_steps,
-    score_windows,
     train,
     write_curve_csv,
     write_epochs_csv,
@@ -189,12 +189,17 @@ class TestGuards:
 
 class TestEvaluate:
     def test_scores_align_with_forward(self):
-        from seqguard.model import forward_classifier
-
         params = _toy_model(seed=7)
         windows = sentinel_pool(1, 30, anomaly_rate=0.3)
         report, loss, scores = evaluate(params, windows, LOSS_FOCAL, FocalParams())
-        _, direct = forward_classifier(params, windows)
+        tape = Tape(record=False)
+        logits = classifier_logits(
+            tape,
+            params,
+            [w.event_ids for w in windows],
+            [last_real_index(w.event_ids) for w in windows],
+        )
+        direct = tape.softmax_rows(logits).data[:, 1]
         assert np.allclose(scores, direct, atol=1e-12)
         assert loss > 0.0
         assert 0.0 <= report.accuracy <= 1.0
@@ -210,12 +215,6 @@ class TestEvaluate:
     def test_empty_raises(self):
         with pytest.raises(EmptySplit):
             evaluate(_toy_model(), [], LOSS_FOCAL, FocalParams())
-
-    def test_score_windows_matches_evaluate(self):
-        params = _toy_model(seed=9)
-        windows = sentinel_pool(3, 20, anomaly_rate=0.3)
-        _, _, scores = evaluate(params, windows, LOSS_FOCAL, FocalParams())
-        assert np.allclose(score_windows(params, windows), scores, atol=1e-12)
 
 
 class TestCsvExports:
