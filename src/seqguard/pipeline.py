@@ -131,8 +131,12 @@ def _read_sessions_jsonl(path: str) -> list[Session]:
             if line.strip():
                 obj = json.loads(line)
                 sessions.append(
-                    Session(obj["session_id"], obj["event_ids"], int(obj["label"]),
-                            obj["line_numbers"])
+                    Session(
+                        session_id=obj["session_id"],
+                        event_ids=list(obj["event_ids"]),
+                        label=int(obj["label"]),
+                        line_numbers=list(obj["line_numbers"]),
+                    )
                 )
     return sessions
 
@@ -140,7 +144,9 @@ def _read_sessions_jsonl(path: str) -> list[Session]:
 def _write_sessions_jsonl(path: str, sessions: list[Session]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for s in sessions:
-            handle.write(json.dumps(vars(s), sort_keys=True) + "\n")
+            record = {"event_ids": s.event_ids, "label": s.label,
+                      "line_numbers": s.line_numbers, "session_id": s.session_id}
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def stage_parse(config: ExperimentConfig) -> dict:
@@ -625,14 +631,11 @@ def _recorded_keys(out_dir: str) -> dict[str, str]:
 
 
 def _record_key(out_dir: str, name: str, key: Optional[str]) -> None:
-    """Record one stage's key, or drop it when ``key`` is None."""
+    """Record one stage's key; None marks its outputs as not current."""
     keys = _recorded_keys(out_dir)
-    if key is None:
-        if keys.pop(name, None) is None:
-            return
-    else:
+    if keys.get(name) != key:
         keys[name] = key
-    dump_json_file(artifact_paths(out_dir)["stage_keys"], keys)
+        dump_json_file(artifact_paths(out_dir)["stage_keys"], keys)
 
 
 def _is_current(stage: Stage, config: ExperimentConfig, recorded: dict) -> bool:
@@ -646,7 +649,7 @@ def _is_current(stage: Stage, config: ExperimentConfig, recorded: dict) -> bool:
 
 def run_stage(name: str, config: ExperimentConfig, **kwargs) -> dict:
     """Run one stage and record its key once it succeeds. The old key is
-    dropped first, so outputs a failing stage left half written are never
+    cleared first, so outputs a failing stage left half written are never
     taken as current."""
     try:
         stage = _BY_NAME[name]
