@@ -126,11 +126,11 @@ class ModelParams:
             t.data = state[name].astype(np.float64).copy()
 
 
-def causal_attention(tape: Tape, q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
-    """softmax(QK^T / sqrt(d_k), masked above the diagonal) V."""
-    scores = tape.scale(tape.matmul(q, tape.transpose(k)), 1.0 / math.sqrt(d_k))
-    weights = tape.softmax_rows(scores, causal=True)
-    return tape.matmul(weights, v)
+def causal_attention(
+    tape: Tape, q: Tensor, k: Tensor, v: Tensor, seq_len: int, n_heads: int
+) -> Tensor:
+    """Multi-head softmax(QK^T / sqrt(d_head), masked above the diagonal) V per window."""
+    return tape.causal_attention(q, k, v, seq_len, n_heads)
 
 
 def _as_id_matrix(ids) -> np.ndarray:
@@ -171,29 +171,7 @@ def decoder_hidden(
         q = tape.add_bias(tape.matmul(x, params[f"layer{i}.wq"]), params[f"layer{i}.bq"])
         k = tape.add_bias(tape.matmul(x, params[f"layer{i}.wk"]), params[f"layer{i}.bk"])
         v = tape.add_bias(tape.matmul(x, params[f"layer{i}.wv"]), params[f"layer{i}.bv"])
-        window_outs = []
-        for w in range(batch):
-            lo, hi = w * seq_len, (w + 1) * seq_len
-            qw = tape.slice_rows(q, lo, hi)
-            kw = tape.slice_rows(k, lo, hi)
-            vw = tape.slice_rows(v, lo, hi)
-            if c.n_heads == 1:
-                window_outs.append(causal_attention(tape, qw, kw, vw, c.d_head))
-                continue
-            heads = []
-            for hd in range(c.n_heads):
-                a, b = hd * c.d_head, (hd + 1) * c.d_head
-                heads.append(
-                    causal_attention(
-                        tape,
-                        tape.slice_cols(qw, a, b),
-                        tape.slice_cols(kw, a, b),
-                        tape.slice_cols(vw, a, b),
-                        c.d_head,
-                    )
-                )
-            window_outs.append(tape.concat_cols(heads))
-        ctx = window_outs[0] if batch == 1 else tape.concat_rows(window_outs)
+        ctx = causal_attention(tape, q, k, v, seq_len, c.n_heads)
         attn = tape.add_bias(tape.matmul(ctx, params[f"layer{i}.wo"]), params[f"layer{i}.bo"])
         h = tape.add(h, drop(attn))
 

@@ -3,14 +3,16 @@
 Every primitive records itself on a Tape during the forward pass; the
 backward pass replays the records in reverse, accumulating gradients
 additively into any tensor marked as requiring them. The op set is the
-minimum a small causal decoder needs, plus a central finite-difference
-checker that serves as the gradient oracle everywhere.
+minimum a small causal decoder needs: elementwise and matrix ops, row
+softmax, layer norm, GELU, row gathers, and one batched multi-head causal
+attention over stacked windows. A central finite-difference checker
+serves as the gradient oracle everywhere.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -187,19 +189,10 @@ class Tape:
         out = Tensor(np.maximum(a.data, c))
         return self._emit(out, (a,), lambda g: (g * (a.data > c),))
 
-    def softmax_rows(self, a: Tensor, causal: bool = False) -> Tensor:
-        """Row-wise softmax after max subtraction; optional causal mask.
-
-        With ``causal=True`` (square input) entries above the diagonal are
-        excluded before normalization and come out exactly zero.
-        """
-        z = a.data
-        if causal:
-            if a.rows != a.cols:
-                raise ShapeMismatch(f"causal softmax needs a square input, got {a.shape}")
-            z = np.where(np.triu(np.ones(a.shape, dtype=bool), k=1), -np.inf, z)
-        m = np.max(z, axis=1, keepdims=True)
-        e = np.exp(z - m)
+    def softmax_rows(self, a: Tensor) -> Tensor:
+        """Row-wise softmax after max subtraction."""
+        m = np.max(a.data, axis=1, keepdims=True)
+        e = np.exp(a.data - m)
         y = e / e.sum(axis=1, keepdims=True)
         out = Tensor(y)
 
@@ -208,6 +201,52 @@ class Tape:
             return (y * (g - inner),)
 
         return self._emit(out, (a,), backward)
+
+    def causal_attention(
+        self, q: Tensor, k: Tensor, v: Tensor, seq_len: int, n_heads: int
+    ) -> Tensor:
+        """Multi-head softmax(q k^T / sqrt(d_head), causal) v over stacked windows.
+
+        q, k and v are (batch * seq_len) x d_model, window-major; each window
+        attends only within itself, each head to its own d_model / n_heads
+        columns, and position t sees positions <= t (masked scores come out
+        exactly zero). Heads merge back into columns in head order.
+        """
+        if not q.shape == k.shape == v.shape:
+            raise ShapeMismatch(f"attention q/k/v shapes {q.shape}, {k.shape}, {v.shape}")
+        if seq_len < 1 or n_heads < 1 or q.rows % seq_len or q.cols % n_heads:
+            raise ShapeMismatch(
+                f"{q.shape} does not split into windows of {seq_len} and {n_heads} heads"
+            )
+        batch, d_model = q.rows // seq_len, q.cols
+        d_head = d_model // n_heads
+
+        def split(x):  # (B*T, H*dh) -> (B, H, T, dh)
+            return x.reshape(batch, seq_len, n_heads, d_head).transpose(0, 2, 1, 3)
+
+        def merge(x):  # (B, H, T, dh) -> (B*T, H*dh)
+            return x.transpose(0, 2, 1, 3).reshape(batch * seq_len, d_model)
+
+        qh = np.ascontiguousarray(split(q.data))
+        kt = np.ascontiguousarray(split(k.data).swapaxes(-1, -2))
+        vh = np.ascontiguousarray(split(v.data))
+        c = 1.0 / math.sqrt(d_head)
+        future = np.triu(np.ones((seq_len, seq_len), dtype=bool), k=1)
+        z = np.where(future, -np.inf, (qh @ kt) * c)
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        out = Tensor(merge(w @ vh))
+
+        def backward(g):
+            gh = np.ascontiguousarray(split(g))
+            gw = gh @ vh.swapaxes(-1, -2)
+            gz = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * c
+            gq = merge(gz @ kt.swapaxes(-1, -2))
+            gk = merge((qh.swapaxes(-1, -2) @ gz).swapaxes(-1, -2))
+            gv = merge(w.swapaxes(-1, -2) @ gh)
+            return gq, gk, gv
+
+        return self._emit(out, (q, k, v), backward)
 
     def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         if x.cols < 2:
@@ -276,68 +315,6 @@ class Tape:
             return (ga,)
 
         return self._emit(out, (a,), backward)
-
-    def slice_rows(self, a: Tensor, start: int, stop: int) -> Tensor:
-        if not 0 <= start < stop <= a.rows:
-            raise ShapeMismatch(f"row slice [{start}:{stop}] out of range for {a.shape}")
-        out = Tensor(a.data[start:stop].copy())
-
-        def backward(g):
-            ga = np.zeros_like(a.data)
-            ga[start:stop] = g
-            return (ga,)
-
-        return self._emit(out, (a,), backward)
-
-    def slice_cols(self, a: Tensor, start: int, stop: int) -> Tensor:
-        if not 0 <= start < stop <= a.cols:
-            raise ShapeMismatch(f"col slice [{start}:{stop}] out of range for {a.shape}")
-        out = Tensor(a.data[:, start:stop].copy())
-
-        def backward(g):
-            ga = np.zeros_like(a.data)
-            ga[:, start:stop] = g
-            return (ga,)
-
-        return self._emit(out, (a,), backward)
-
-    def concat_rows(self, parts: Sequence[Tensor]) -> Tensor:
-        if not parts:
-            raise ShapeMismatch("concat_rows needs at least one part")
-        cols = parts[0].cols
-        if any(p.cols != cols for p in parts):
-            raise ShapeMismatch("concat_rows parts must share column count")
-        out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-        sizes = [p.rows for p in parts]
-
-        def backward(g):
-            grads = []
-            offset = 0
-            for p, size in zip(parts, sizes):
-                grads.append(g[offset : offset + size] if p.requires_grad else None)
-                offset += size
-            return grads
-
-        return self._emit(out, tuple(parts), backward)
-
-    def concat_cols(self, parts: Sequence[Tensor]) -> Tensor:
-        if not parts:
-            raise ShapeMismatch("concat_cols needs at least one part")
-        rows = parts[0].rows
-        if any(p.rows != rows for p in parts):
-            raise ShapeMismatch("concat_cols parts must share row count")
-        out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-        sizes = [p.cols for p in parts]
-
-        def backward(g):
-            grads = []
-            offset = 0
-            for p, size in zip(parts, sizes):
-                grads.append(g[:, offset : offset + size] if p.requires_grad else None)
-                offset += size
-            return grads
-
-        return self._emit(out, tuple(parts), backward)
 
     def sum_all(self, a: Tensor) -> Tensor:
         out = Tensor([[a.data.sum()]])

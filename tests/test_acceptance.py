@@ -106,6 +106,7 @@ def _fd_op_cases():
         return make
 
     sq = (4, 4)
+    qkv = (6, 4)
     return {
         "matmul_left": case((4, 5), [(5, 3), (4, 3)], lambda tp, x, m, w: weighted(
             tp, tp.matmul(x, Tensor(m)), w)),
@@ -134,8 +135,13 @@ def _fd_op_cases():
         # gradient; weight the output to get a meaningful check.
         "softmax_rows": case(sq, [sq], lambda tp, x, w: weighted(
             tp, tp.softmax_rows(x), w)),
-        "softmax_causal": case(sq, [sq], lambda tp, x, w: weighted(
-            tp, tp.softmax_rows(x, causal=True), w)),
+        # Two windows of three positions, two heads; one case per input.
+        "causal_attention_q": case(qkv, [qkv, qkv, qkv], lambda tp, x, k, v, w: weighted(
+            tp, tp.causal_attention(x, Tensor(k), Tensor(v), 3, 2), w)),
+        "causal_attention_k": case(qkv, [qkv, qkv, qkv], lambda tp, x, q, v, w: weighted(
+            tp, tp.causal_attention(Tensor(q), x, Tensor(v), 3, 2), w)),
+        "causal_attention_v": case(qkv, [qkv, qkv, qkv], lambda tp, x, q, k, w: weighted(
+            tp, tp.causal_attention(Tensor(q), Tensor(k), x, 3, 2), w)),
         "layer_norm_x": case((4, 6), [(1, 6), (1, 6), (4, 6)],
                              lambda tp, x, g, b, w: weighted(
             tp, tp.layer_norm(x, Tensor(g), Tensor(b)), w)),
@@ -148,14 +154,6 @@ def _fd_op_cases():
         # One column picked per row, giving a (rows, 1) result.
         "select_cols": case((4, 6), [(4, 1)], lambda tp, x, w: weighted(
             tp, tp.select_cols(x, [0, 3, 3, 5]), w)),
-        "slice_rows": case((5, 4), [(3, 4)], lambda tp, x, w: weighted(
-            tp, tp.slice_rows(x, 1, 4), w)),
-        "slice_cols": case((4, 6), [(4, 3)], lambda tp, x, w: weighted(
-            tp, tp.slice_cols(x, 2, 5), w)),
-        "concat_rows": case((3, 4), [(2, 4), (5, 4)], lambda tp, x, p, w: weighted(
-            tp, tp.concat_rows([x, Tensor(p)]), w)),
-        "concat_cols": case((4, 3), [(4, 2), (4, 5)], lambda tp, x, p, w: weighted(
-            tp, tp.concat_cols([x, Tensor(p)]), w)),
         "sum_all": case((4, 5), [], lambda tp, x: tp.sum_all(x)),
         "mean_all": case((4, 5), [], lambda tp, x: tp.mean_all(x)),
         "dropout": case((4, 5), [(4, 5)], lambda tp, x, w: weighted(

@@ -7,6 +7,8 @@ import pytest
 
 from seqguard.tensor import ShapeMismatch, Tape, Tensor, finite_difference_check
 
+from test_acceptance import _fd_op_cases
+
 TOL = 1e-4
 
 
@@ -31,13 +33,32 @@ class TestForwardValues:
         out = Tape(record=False).softmax_rows(x)
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_causal_softmax_upper_triangle_exactly_zero(self):
+    def test_causal_attention_row_ignores_later_positions(self):
+        # Rewriting the keys and values after position t leaves output row t
+        # of the same window bitwise unchanged.
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(6, 6)))
-        out = Tape(record=False).softmax_rows(x, causal=True)
-        upper = np.triu(np.ones((6, 6), dtype=bool), k=1)
-        assert np.all(out.data[upper] == 0.0)
-        assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
+        seq_len, n_heads = 6, 2
+        q, k, v = (rng.normal(size=(2 * seq_len, 4)) for _ in range(3))
+        tape = Tape(record=False)
+        base = tape.causal_attention(Tensor(q), Tensor(k), Tensor(v), seq_len, n_heads)
+        for t in range(seq_len - 1):
+            k2, v2 = k.copy(), v.copy()
+            later = slice(seq_len + t + 1, 2 * seq_len)
+            k2[later] = rng.normal(size=k2[later].shape)
+            v2[later] = rng.normal(size=v2[later].shape)
+            out = tape.causal_attention(Tensor(q), Tensor(k2), Tensor(v2), seq_len, n_heads)
+            assert np.array_equal(out.data[: seq_len + t + 1], base.data[: seq_len + t + 1])
+            assert not np.array_equal(out.data, base.data)
+
+    def test_causal_attention_shape_mismatch(self):
+        x = Tensor(np.ones((6, 4)))
+        tape = Tape()
+        with pytest.raises(ShapeMismatch):
+            tape.causal_attention(x, x, x, 4, 2)  # 6 rows are not windows of 4
+        with pytest.raises(ShapeMismatch):
+            tape.causal_attention(x, x, x, 3, 3)  # 4 columns are not 3 heads
+        with pytest.raises(ShapeMismatch):
+            tape.causal_attention(x, x, Tensor(np.ones((6, 2))), 3, 2)
 
     def test_softmax_shift_invariance(self):
         x = np.array([[1.0, 2.0, 3.0]])
@@ -70,17 +91,6 @@ class TestForwardValues:
         a = Tensor(np.arange(6.0).reshape(3, 2))
         out = Tape(record=False).select_cols(a, [1, 0, 1])
         assert np.array_equal(out.data, [[1.0], [2.0], [5.0]])
-
-    def test_concat_and_slice_invert(self):
-        rng = np.random.default_rng(3)
-        tape = Tape(record=False)
-        a, b = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 4)))
-        cat = tape.concat_cols([a, b])
-        assert np.array_equal(tape.slice_cols(cat, 0, 3).data, a.data)
-        assert np.array_equal(tape.slice_cols(cat, 3, 7).data, b.data)
-        c, d = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(5, 3)))
-        cat = tape.concat_rows([c, d])
-        assert np.array_equal(tape.slice_rows(cat, 2, 7).data, d.data)
 
     def test_dropout_inverted_scaling(self):
         rng = np.random.default_rng(4)
@@ -223,14 +233,23 @@ class TestGradientChecks:
         tape.backward(tape.sum_all(tape.clamp_min(x, 1e-12)))
         assert np.array_equal(x.grad, np.array([[1.0, 0.0]]))
 
-    @pytest.mark.parametrize("causal", [False, True])
-    def test_softmax_rows(self, causal):
+    def test_softmax_rows(self):
         # Weighted reduction: the plain sum of a softmax row is constant,
         # which would make the true gradient zero and the check vacuous.
         rng = np.random.default_rng(9)
         x = _t(rng, 5, 5)
         w = Tensor(rng.normal(size=(5, 5)))
-        assert _fd(lambda tape: tape.hadamard(tape.softmax_rows(x, causal=causal), w), x) < TOL
+        assert _fd(lambda tape: tape.hadamard(tape.softmax_rows(x), w), x) < TOL
+
+    @pytest.mark.parametrize("wrt", ["q", "k", "v"])
+    def test_causal_attention(self, wrt):
+        # Two windows of three positions, two heads of width two.
+        rng = np.random.default_rng(15)
+        qkv = {name: Tensor(rng.normal(size=(6, 4))) for name in "qkv"}
+        x = qkv[wrt] = _t(rng, 6, 4)
+        w = Tensor(rng.normal(size=(6, 4)))
+        assert _fd(lambda tape: tape.hadamard(
+            tape.causal_attention(qkv["q"], qkv["k"], qkv["v"], 3, 2), w), x) < TOL
 
     def test_layer_norm_wrt_input(self):
         rng = np.random.default_rng(10)
@@ -264,28 +283,6 @@ class TestGradientChecks:
         cols = [0, 2, 1, 1, 0]
         assert _fd(lambda tape: tape.select_cols(x, cols), x) < TOL
 
-    def test_slice_rows(self):
-        rng = np.random.default_rng(15)
-        x = _t(rng, 6, 3)
-        assert _fd(lambda tape: tape.slice_rows(x, 1, 4), x) < TOL
-
-    def test_slice_cols(self):
-        rng = np.random.default_rng(16)
-        x = _t(rng, 3, 6)
-        assert _fd(lambda tape: tape.slice_cols(x, 2, 5), x) < TOL
-
-    def test_concat_rows(self):
-        rng = np.random.default_rng(17)
-        x = _t(rng, 2, 3)
-        other = Tensor(rng.normal(size=(3, 3)))
-        assert _fd(lambda tape: tape.concat_rows([x, other]), x) < TOL
-
-    def test_concat_cols(self):
-        rng = np.random.default_rng(18)
-        x = _t(rng, 3, 2)
-        other = Tensor(rng.normal(size=(3, 4)))
-        assert _fd(lambda tape: tape.concat_cols([other, x]), x) < TOL
-
     def test_sum_all(self):
         rng = np.random.default_rng(19)
         x = _t(rng, 3, 3)
@@ -318,3 +315,17 @@ class TestGradientChecks:
             return tape.mean_all(tape.gelu(tape.layer_norm(h, g, b)))
 
         assert finite_difference_check(f, x) < TOL
+
+
+def test_every_primitive_has_a_criterion_03_case():
+    # A case counts for an op when it is named after it: "gelu", "matmul_left".
+    cases = _fd_op_cases()
+    primitives = [
+        name for name, value in vars(Tape).items()
+        if callable(value) and not name.startswith("_") and name != "backward"
+    ]
+    missing = [
+        op for op in primitives
+        if not any(case == op or case.startswith(op + "_") for case in cases)
+    ]
+    assert primitives and not missing, f"no criterion-03 case for {missing}"
