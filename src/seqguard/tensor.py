@@ -274,7 +274,7 @@ class Tape:
 
     def gelu(self, a: Tensor) -> Tensor:
         x = a.data
-        u = GELU_C * (x + GELU_K * x**3)
+        u = GELU_C * (x + GELU_K * (x * x * x))
         t = np.tanh(u)
         out = Tensor(0.5 * x * (1.0 + t))
 
