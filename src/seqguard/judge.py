@@ -221,7 +221,6 @@ def classify_remote(
     An injected transport takes the request payload and returns the
     response body, replacing the HTTP layer in tests.
     """
-    os.makedirs(config.cache_dir, exist_ok=True)
     pacer = _Pacer(min_interval=1.0 / config.rate_limit, sleep=sleep)
     api_key = os.environ.get(API_KEY_ENV_VAR)
     verdicts = []
@@ -262,6 +261,7 @@ def classify_remote(
                 "temperature": 0,
             }
             body = _call_with_retries(config, payload, transport, api_key, pacer, sleep)
+            os.makedirs(config.cache_dir, exist_ok=True)
             _atomic_write_json(
                 cache_path,
                 {

@@ -162,13 +162,17 @@ def roc_curve(
     y = np.asarray(labels, dtype=np.int64)
     n_pos = int(y.sum())
     n_neg = int(y.size - n_pos)
-    rows = []
-    thresholds = [float("inf")] + sorted(set(float(s) for s in scores), reverse=True)
-    for t in thresholds:
-        c = confusion(scores, labels, t)
-        fpr = c.fp / n_neg if n_neg > 0 else 0.0
-        tpr = c.tp / n_pos if n_pos > 0 else 0.0
-        rows.append((t, fpr, tpr))
+    # One stable descending sort; the counts at the last index of each run
+    # of equal scores are the confusion counts at that score as threshold.
+    s = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-s, kind="stable")
+    s, y = s[order], y[order]
+    last = np.append(s[1:] != s[:-1], True)
+    tp = np.cumsum(y)[last].tolist()
+    fp = np.cumsum(1 - y)[last].tolist()
+    rows = [(float("inf"), 0.0, 0.0)]
+    for t, f, p in zip(s[last].tolist(), fp, tp):
+        rows.append((t, f / n_neg if n_neg > 0 else 0.0, p / n_pos if n_pos > 0 else 0.0))
     return rows
 
 

@@ -136,7 +136,8 @@ def causal_attention(
 def _as_id_matrix(ids) -> np.ndarray:
     arr = np.asarray(ids, dtype=np.int64)
     if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
+        # One window, or an empty batch for an empty list.
+        arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, 0)
     if arr.ndim != 2:
         raise ValueError(f"ids must be 1-D or 2-D, got shape {arr.shape}")
     return arr
@@ -152,6 +153,8 @@ def decoder_hidden(
     c = params.config
     ids = _as_id_matrix(ids)
     batch, seq_len = ids.shape
+    if ids.size == 0:
+        raise ValueError(f"empty batch: ids of shape {ids.shape} hold no tokens")
     if seq_len > c.max_seq_len:
         raise SequenceTooLong(f"sequence length {seq_len} exceeds cap {c.max_seq_len}")
     if ids.min() < 0 or ids.max() >= c.vocab_size:

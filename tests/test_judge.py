@@ -139,6 +139,7 @@ class TestClassifyRemote:
         assert verdicts == [
             Verdict(window_id="w1", label=1, raw_response="ANOMALY", source="fixture")
         ]
+        assert not (tmp_path / "cache").exists()
 
     def test_fixture_missing_raises(self, tmp_path):
         fixtures = tmp_path / "fixtures"
@@ -149,6 +150,7 @@ class TestClassifyRemote:
 
     def test_live_call_populates_cache(self, tmp_path):
         config = _config(tmp_path)
+        assert not (tmp_path / "cache").exists()
         calls = []
 
         def transport(payload):

@@ -154,6 +154,23 @@ class TestRocCurve:
         assert thresholds == sorted(thresholds, reverse=True)
         assert len(set(thresholds)) == len(thresholds)
 
+    @pytest.mark.parametrize("case", ["ties", "one_class"])
+    def test_rows_match_confusion_at_every_threshold(self, case):
+        rng = np.random.default_rng(17)
+        scores = (rng.integers(0, 12, size=400) / 11.0).tolist()  # heavy ties
+        if case == "ties":
+            labels = rng.integers(0, 2, size=400).tolist()
+        else:
+            labels = [1] * 400
+        n_pos, n_neg = sum(labels), len(labels) - sum(labels)
+        expected = []
+        for t in [float("inf")] + sorted(set(scores), reverse=True):
+            c = confusion(scores, labels, t)
+            expected.append(
+                (t, c.fp / n_neg if n_neg else 0.0, c.tp / n_pos if n_pos else 0.0)
+            )
+        assert roc_curve(scores, labels) == expected
+
     def test_csv_export(self, tmp_path):
         path = tmp_path / "roc.csv"
         write_roc_csv(str(path), roc_curve([0.9, 0.1], [1, 0]))

@@ -160,6 +160,11 @@ class TestForward:
         logits = classifier_logits(tape, tiny_model(), np.zeros((0, 4), dtype=np.int64), [])
         p = tape.softmax_rows(logits).data[:, 1]
         assert logits.shape == (0, 2) and p.shape == (0,)
+        # An empty id list is an empty batch too.
+        assert classifier_logits(tape, tiny_model(), [], []).shape == (0, 2)
+        for fn in (position_logits, forward_lm):
+            with pytest.raises(ValueError, match="empty batch"):
+                fn(tiny_model(), [])
 
     def test_readout_at_last_real_position(self):
         # A padded window must read out where the real tokens end, so

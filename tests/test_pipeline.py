@@ -375,6 +375,8 @@ class TestJudgeStage:
 
         stats = run_stage("judge", judged, transport=transport)
         assert stats == {"verdicts": n, "unparseable": 0, "sources": {"fixture": n}}
+        # Only a live response creates the cache directory.
+        assert not os.path.exists(os.path.join(config.out_dir, "judge_cache"))
 
         run_stage("compare", judged)
         with open(artifact_paths(config.out_dir)["comparison"], newline="") as handle:
