@@ -241,16 +241,6 @@ class TestGradientChecks:
         w = Tensor(rng.normal(size=(5, 5)))
         assert _fd(lambda tape: tape.hadamard(tape.softmax_rows(x), w), x) < TOL
 
-    @pytest.mark.parametrize("wrt", ["q", "k", "v"])
-    def test_causal_attention(self, wrt):
-        # Two windows of three positions, two heads of width two.
-        rng = np.random.default_rng(15)
-        qkv = {name: Tensor(rng.normal(size=(6, 4))) for name in "qkv"}
-        x = qkv[wrt] = _t(rng, 6, 4)
-        w = Tensor(rng.normal(size=(6, 4)))
-        assert _fd(lambda tape: tape.hadamard(
-            tape.causal_attention(qkv["q"], qkv["k"], qkv["v"], 3, 2), w), x) < TOL
-
     def test_layer_norm_wrt_input(self):
         rng = np.random.default_rng(10)
         x = _t(rng, 4, 8)
