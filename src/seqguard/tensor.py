@@ -227,6 +227,9 @@ class Tape:
         def merge(x):  # (B, H, T, dh) -> (B*T, H*dh)
             return x.transpose(0, 2, 1, 3).reshape(batch * seq_len, d_model)
 
+        # Contiguous per-head operands (and k pre-transposed) give every
+        # matmul the same layout as one window and head at a time, so the
+        # results are bitwise those of unbatched attention.
         qh = np.ascontiguousarray(split(q.data))
         kt = np.ascontiguousarray(split(k.data).swapaxes(-1, -2))
         vh = np.ascontiguousarray(split(v.data))
