@@ -184,17 +184,6 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise OSError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(payload)
-
-
 def _coerce(raw: str) -> Any:
     # Overrides arrive as strings; interpret as JSON scalars when possible.
     try:

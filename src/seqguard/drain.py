@@ -23,10 +23,6 @@ DEFAULT_HEADER_PATTERN = r"^(?P<date>\d+)\s+(?P<time>\d+)\s+(?P<pid>\d+)\s+(?P<l
 _ADJACENT_OK = set("0123456789_-.")
 
 
-class HeaderMismatch(ValueError):
-    """Raised when a raw line does not match the configured header pattern."""
-
-
 class LengthMismatch(ValueError):
     """Raised when two token lists of different lengths are compared."""
 
@@ -59,23 +55,6 @@ def _is_numeric_token(tok: str) -> bool:
     return has_digit
 
 
-def preprocess(raw_line: str, header_pattern: str = DEFAULT_HEADER_PATTERN) -> tuple[str, list[str]]:
-    """Split a raw line into (header, masked content tokens).
-
-    Raises HeaderMismatch when the pattern does not match or the message
-    body is empty; callers record such lines in the reject file.
-    """
-    m = re.match(header_pattern, raw_line.rstrip("\n"))
-    if m is None:
-        raise HeaderMismatch(f"header pattern did not match: {raw_line[:80]!r}")
-    content = m.group("content")
-    tokens = content.split()
-    if not tokens:
-        raise HeaderMismatch(f"empty message body: {raw_line[:80]!r}")
-    header = raw_line[: m.start("content")].rstrip()
-    return header, mask_numeric_tokens(tokens)
-
-
 def seq_similarity(content_tokens: list[str], template_tokens: list[str]) -> float:
     """Fraction of positions where tokens agree or the template holds a wildcard."""
     if len(content_tokens) != len(template_tokens):
@@ -102,10 +81,6 @@ class EventTemplate:
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
-
-    @property
-    def wildcard_count(self) -> int:
-        return sum(1 for t in self.tokens if t == WILDCARD)
 
 
 class _Node:

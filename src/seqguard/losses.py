@@ -57,23 +57,6 @@ def alpha_for_label(label: int, params: FocalParams) -> float:
     return params.alpha if label == 1 else 1.0 - params.alpha
 
 
-def mean_loss(p_trues: Sequence[float], labels: Sequence[int], kind: str,
-              params: FocalParams) -> float:
-    """Mean per-sample loss with class-indexed alpha under the focal kind."""
-    if len(p_trues) != len(labels):
-        raise ValueError("p_trues and labels differ in length")
-    total = 0.0
-    for p, y in zip(p_trues, labels):
-        if kind == LOSS_CROSS_ENTROPY:
-            total += cross_entropy(p)
-        elif kind == LOSS_FOCAL:
-            pc = _clamp(p)
-            total += -alpha_for_label(y, params) * (1.0 - pc) ** params.gamma * math.log(pc)
-        else:
-            raise ValueError(f"unknown loss kind {kind!r}")
-    return total / len(p_trues)
-
-
 def classification_loss(
     tape: Tape,
     logits: Tensor,

@@ -2,9 +2,11 @@
 -> judge -> compare -> report, plus the three-arm ablation.
 
 Every stage reads only input files and artifacts written by earlier
-stages, so each is independently re-runnable. All artifacts live under
-the configured output directory. ``GRAPH`` lists each stage with the
-config it reads and the files it reads and writes; a stage's key hashes
+stages, so each is independently re-runnable. The model runs only in
+``train``, which writes the val scores of the epoch it selects; ``eval``
+turns those scores into metrics. All artifacts live under the configured
+output directory. ``GRAPH`` lists each stage with the config it reads
+and the files it reads and writes; a stage's key hashes
 that config slice and the contents of its input files. ``run_stage``
 records the key of every stage that succeeds in ``stage_keys.json``, and
 ``run_pipeline`` skips a stage whose recorded key still matches and whose
@@ -46,11 +48,10 @@ from .judge import (
     write_verdicts_jsonl,
 )
 from .losses import LOSS_CROSS_ENTROPY, LOSS_FOCAL, FocalParams
-from .metrics import format_confusion, roc_curve, write_roc_csv
+from .metrics import format_confusion, full_report, roc_curve, write_roc_csv
 from .model import (
     ModelConfig,
     ModelParams,
-    load_checkpoint,
     pretrain_lm,
     save_checkpoint,
     vocab_manifest_hash,
@@ -72,6 +73,7 @@ from .sessions import (
     write_split_manifest,
     write_windows_jsonl,
 )
+# No stage calls evaluate; it stays importable because the traced benchmark wraps it by name.
 from .training import TrainConfig, evaluate, train, write_curve_csv, write_epochs_csv
 
 SPECIAL_VOCAB_ENTRIES = ["<pad>", "<unk>", "<cls>"]
@@ -399,6 +401,11 @@ def stage_train(config: ExperimentConfig) -> dict:
     )
     write_curve_csv(paths["curve"], result.curve)
     write_epochs_csv(paths["epochs"], result.epoch_rows)
+    with open(paths["scores"], "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["window_id", "score", "label"])
+        for w, s in zip(val_windows, result.best_scores):
+            writer.writerow([w.window_id, str(float(s)), w.label])
     summary = {
         "best_epoch": result.best_epoch,
         "best_f1": result.best_f1,
@@ -412,26 +419,26 @@ def stage_train(config: ExperimentConfig) -> dict:
     return summary
 
 
+def _read_scores(path: str, windows: list[LabeledWindow]) -> list[float]:
+    """The local model's score of each window in ``windows``, in order."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        by_id = {row["window_id"]: float(row["score"]) for row in csv.DictReader(handle)}
+    return [by_id[w.window_id] for w in windows]
+
+
 def stage_eval(config: ExperimentConfig) -> dict:
+    """Metrics of the best epoch's val scores, as ``train`` wrote them; the
+    model does not run here."""
     paths = artifact_paths(config.out_dir)
     vocab = load_json_file(paths["vocab"])
-    params, _ = load_checkpoint(
-        paths["checkpoint"], expected_vocab_hash=vocab_manifest_hash(vocab["entries"])
-    )
     val_windows = read_windows_jsonl(paths["val_windows"], vocab["window_length"])
-    tconfig = _train_config(config)
-    report, val_loss, scores = evaluate(
-        params, val_windows, tconfig.loss, tconfig.focal, tconfig.threshold
-    )
-    with open(paths["scores"], "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["window_id", "score", "label"])
-        for w, s in zip(val_windows, scores):
-            writer.writerow([w.window_id, str(float(s)), w.label])
+    scores = _read_scores(paths["scores"], val_windows)
+    labels = [w.label for w in val_windows]
+    report = full_report(scores, labels, config.train.threshold)
+    val_loss = load_json_file(paths["train_summary"])["best_val_loss"]
     payload = dict(report.to_dict(), val_loss=val_loss)
     dump_json_file(paths["eval_metrics"], payload)
-    labels = [w.label for w in val_windows]
-    write_roc_csv(paths["roc"], roc_curve(list(scores), labels))
+    write_roc_csv(paths["roc"], roc_curve(scores, labels))
     with open(paths["confusion"], "w", encoding="utf-8") as handle:
         handle.write(format_confusion(report.counts))
     return payload
@@ -482,9 +489,7 @@ def stage_compare(config: ExperimentConfig) -> dict:
     paths = artifact_paths(config.out_dir)
     vocab = load_json_file(paths["vocab"])
     val_windows = read_windows_jsonl(paths["val_windows"], vocab["window_length"])
-    with open(paths["scores"], "r", encoding="utf-8", newline="") as handle:
-        score_rows = {row["window_id"]: float(row["score"]) for row in csv.DictReader(handle)}
-    scores = [score_rows[w.window_id] for w in val_windows]
+    scores = _read_scores(paths["scores"], val_windows)
     judges = {}
     if os.path.exists(paths["verdicts"]):
         judges[config.judge.model] = read_verdicts_jsonl(paths["verdicts"])
@@ -594,10 +599,10 @@ GRAPH = (
     Stage("train", stage_train,
           lambda c: [c.seed, c.train_fraction, c.window.window_length, c.model, c.train],
           ("vocab", "train_windows", "val_windows"),
-          ("checkpoint", "curve", "epochs", "train_summary")),
-    Stage("eval", stage_eval,
-          lambda c: [c.train.loss, c.train.alpha, c.train.gamma, c.train.threshold],
-          ("vocab", "checkpoint", "val_windows"), ("eval_metrics", "scores", "roc", "confusion")),
+          ("checkpoint", "curve", "epochs", "train_summary", "scores")),
+    Stage("eval", stage_eval, lambda c: c.train.threshold,
+          ("vocab", "val_windows", "scores", "train_summary"),
+          ("eval_metrics", "roc", "confusion")),
     Stage("judge", stage_judge, lambda c: c.judge, ("vocab", "templates", "val_windows"),
           ("verdicts",)),
     Stage("compare", stage_compare, lambda c: [c.judge.model, c.train.threshold],

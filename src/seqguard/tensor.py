@@ -60,9 +60,6 @@ class Tensor:
             raise ShapeMismatch(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)

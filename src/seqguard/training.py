@@ -84,6 +84,7 @@ class EpochRow:
 @dataclass
 class TrainResult:
     best_state: dict[str, np.ndarray]
+    best_scores: np.ndarray  # val p_anomaly of best_state, in split.val order
     best_epoch: int
     best_f1: float
     best_val_loss: float
@@ -136,7 +137,8 @@ def train(
     params: ModelParams, split: DatasetSplit, tconfig: TrainConfig
 ) -> TrainResult:
     """Run the fine-tuning loop; params end at the final state, the best
-    (max validation F1, ties to lower validation loss) state is returned."""
+    (max validation F1, ties to lower validation loss) state is returned
+    with its validation scores."""
     if not split.train or not split.val:
         raise EmptySplit("train and val splits must both be non-empty")
     val_labels = {w.label for w in split.val}
@@ -164,7 +166,7 @@ def train(
     curve: list[CurvePoint] = []
     epoch_rows: list[EpochRow] = []
     events: list[str] = []
-    best: Optional[tuple[float, float, int, dict[str, np.ndarray]]] = None
+    best: Optional[tuple[float, float, int, dict[str, np.ndarray], np.ndarray]] = None
     step = 0
     consecutive_skips = 0
 
@@ -221,9 +223,8 @@ def train(
             optimizer.step(lr)
             curve.append(CurvePoint(step=step, loss=group_loss, lr=lr))
 
-        report, val_loss, _ = evaluate(
-            params, split.val, tconfig.loss, tconfig.focal, tconfig.threshold,
-            batch_size=max(tconfig.batch_size, 32),
+        report, val_loss, scores = evaluate(
+            params, split.val, tconfig.loss, tconfig.focal, tconfig.threshold
         )
         epoch_rows.append(
             EpochRow(
@@ -241,11 +242,12 @@ def train(
             or report.f1 > best[0]
             or (report.f1 == best[0] and val_loss < best[1])
         ):
-            best = (report.f1, val_loss, epoch, params.copy_state())
+            best = (report.f1, val_loss, epoch, params.copy_state(), scores)
 
     assert best is not None
     return TrainResult(
         best_state=best[3],
+        best_scores=best[4],
         best_epoch=best[2],
         best_f1=best[0],
         best_val_loss=best[1],

@@ -11,7 +11,6 @@ from seqguard.config import (
     config_from_dict,
     derive_seed,
     dump_json_file,
-    load_config,
     load_json_file,
 )
 
@@ -162,23 +161,6 @@ class TestSeeds:
 
 
 class TestFiles:
-    def test_load_config(self, tmp_path):
-        path = tmp_path / "config.json"
-        dump_json_file(str(path), {"seed": 5, "train": {"epochs": 2}})
-        config = load_config(str(path))
-        assert config.seed == 5
-        assert config.train.epochs == 2
-
-    def test_load_config_missing_file(self, tmp_path):
-        with pytest.raises(OSError, match="cannot read config file"):
-            load_config(str(tmp_path / "absent.json"))
-
-    def test_load_config_bad_json(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_config(str(path))
-
     def test_dump_is_byte_stable(self, tmp_path):
         payload = {"b": 2, "a": {"z": 1, "y": [3, 2]}}
         first = tmp_path / "one.json"

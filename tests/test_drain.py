@@ -9,7 +9,6 @@ import pytest
 
 from seqguard.drain import (
     WILDCARD,
-    HeaderMismatch,
     ParseTree,
     export_structured,
     export_templates,
@@ -17,7 +16,6 @@ from seqguard.drain import (
     load_templates,
     mask_numeric_tokens,
     parse_file,
-    preprocess,
     seq_similarity,
 )
 from seqguard.sessions import extract_block_id
@@ -58,21 +56,6 @@ class TestMasking:
         tokens = "Receiving block blk_99 src 10.0.0.2 dest 10.0.0.3".split()
         once = mask_numeric_tokens(tokens)
         assert mask_numeric_tokens(once) == once
-
-    def test_preprocess_splits_header_and_masks(self):
-        line = (
-            "081109 203615 148 INFO dfs.DataNode$PacketResponder: "
-            "PacketResponder 1 for block blk_38865049064139660 terminating"
-        )
-        header, tokens = preprocess(line)
-        assert header == "081109 203615 148 INFO dfs.DataNode$PacketResponder:"
-        assert tokens == ["PacketResponder", WILDCARD, "for", "block", WILDCARD, "terminating"]
-
-    def test_preprocess_rejects_header_mismatch(self):
-        with pytest.raises(HeaderMismatch):
-            preprocess("java.io.IOException: Connection reset by peer")
-        with pytest.raises(HeaderMismatch):
-            preprocess("")
 
 
 class TestSimilarity:

@@ -18,7 +18,6 @@ from seqguard.losses import (
     classification_loss,
     cross_entropy,
     focal_loss,
-    mean_loss,
 )
 from seqguard.tensor import Tape, Tensor, finite_difference_check
 
@@ -83,28 +82,6 @@ class TestScalarForms:
         assert hi <= lo + 1e-15
 
 
-class TestMeanLoss:
-    def test_class_indexed_alpha(self):
-        params = FocalParams(alpha=0.25, gamma=2.0)
-        ps, ys = [0.8, 0.8], [1, 0]
-        got = mean_loss(ps, ys, LOSS_FOCAL, params)
-        per = lambda a: -a * 0.04 * math.log(0.8)
-        assert got == pytest.approx((per(0.25) + per(0.75)) / 2, abs=1e-15)
-
-    def test_ce_kind_ignores_alpha(self):
-        ps, ys = [0.3, 0.6, 0.9], [1, 0, 1]
-        got = mean_loss(ps, ys, LOSS_CROSS_ENTROPY, FocalParams(alpha=0.25, gamma=2.0))
-        assert got == pytest.approx(sum(cross_entropy(p) for p in ps) / 3, abs=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mean_loss([0.5], [1, 0], LOSS_FOCAL, FocalParams())
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            mean_loss([0.5], [1], "hinge", FocalParams())
-
-
 def _softmax(logits):
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -125,8 +102,15 @@ class TestTapeForm:
         tape = Tape(record=False)
         got = classification_loss(tape, Tensor(logits), labels, kind, params).item()
         probs = _softmax(logits)
-        p_true = [probs[i, y] for i, y in enumerate(labels)]
-        assert got == pytest.approx(mean_loss(p_true, labels, kind, params), abs=1e-12)
+        if kind == LOSS_FOCAL:
+            # Class-indexed alpha: the scalar form gets each row's alpha_t.
+            per = [
+                focal_loss(probs[i, y], FocalParams(alpha_for_label(y, params), params.gamma))
+                for i, y in enumerate(labels)
+            ]
+        else:
+            per = [cross_entropy(probs[i, y]) for i, y in enumerate(labels)]
+        assert got == pytest.approx(sum(per) / len(per), abs=1e-12)
 
     def test_ce_equals_focal_with_unit_weight_zero_gamma(self):
         # The cross-entropy path literally sets weight 1 and exponent 0 in

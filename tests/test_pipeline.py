@@ -17,9 +17,12 @@ from seqguard.cli import _exit_code_for, main
 from seqguard.config import config_from_dict, dump_json_file, load_json_file
 from seqguard.drain import load_templates
 from seqguard.judge import EndpointUnavailable, build_prompt, prompt_hash, vocab_template_table
+from seqguard.losses import FocalParams
+from seqguard.model import load_checkpoint, vocab_manifest_hash
 from seqguard.optim import Diverged
 from seqguard.pipeline import (
     ARM_LOSS,
+    GRAPH,
     LOCAL_MODEL_NAME,
     STAGES,
     StageError,
@@ -32,6 +35,7 @@ from seqguard.pipeline import (
 )
 from seqguard.sessions import UNK_ID, read_windows_jsonl
 from seqguard.tensor import ShapeMismatch
+from seqguard.training import evaluate
 
 from conftest import write_corpus
 
@@ -210,6 +214,40 @@ class TestDeterminism:
         assert curve1 != curve2
 
 
+class TestStageGraph:
+    def test_graph_is_well_formed(self):
+        produced = {"logs", "labels"}
+        for stage in GRAPH:
+            missing = set(stage.inputs) - produced
+            assert not missing, (stage.name, missing)
+            clash = set(stage.outputs) & produced
+            assert not clash, (stage.name, clash)
+            produced |= set(stage.outputs)
+        assert produced - {"logs", "labels"} <= set(artifact_paths("out"))
+
+    def test_scores_are_the_best_epochs(self, tmp_path):
+        # At this seed the second epoch does worse on val, so train keeps
+        # epoch 1; a scores.csv of the last epoch would differ.
+        config = config_from_dict(
+            _payload(tmp_path, seed=1, train={"epochs": 2, "learning_rate": 3e-2})
+        )
+        run_pipeline(config)
+        paths = artifact_paths(config.out_dir)
+        assert load_json_file(paths["train_summary"])["best_epoch"] < config.train.epochs
+        vocab = load_json_file(paths["vocab"])
+        params, _ = load_checkpoint(
+            paths["checkpoint"], expected_vocab_hash=vocab_manifest_hash(vocab["entries"])
+        )
+        windows = read_windows_jsonl(paths["val_windows"], vocab["window_length"])
+        focal = FocalParams(alpha=config.train.alpha, gamma=config.train.gamma)
+        _, val_loss, scores = evaluate(params, windows, config.train.loss, focal)
+        with open(paths["scores"], newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [r["window_id"] for r in rows] == [w.window_id for w in windows]
+        assert [float(r["score"]) for r in rows] == scores.tolist()
+        assert load_json_file(paths["eval_metrics"])["val_loss"] == val_loss
+
+
 class TestResume:
     """A rerun in the same directory reuses every stage whose recorded key
     (config slice and input contents) still matches and whose outputs exist."""
@@ -221,15 +259,22 @@ class TestResume:
         assert sorted(keys) == sorted(set(STAGES) - {"judge", "report"})
         assert run_pipeline(config)["stages_run"] == ["report"]
 
-    def test_deleted_scores_rerun_eval_only(self, tmp_path):
+    @pytest.mark.parametrize(
+        "deleted, reruns",
+        [("roc", ["eval", "report"]), ("scores", ["train", "report"])],
+        ids=["roc", "scores"],
+    )
+    def test_deleted_output_reruns_its_stage(self, tmp_path, deleted, reruns):
         config = config_from_dict(_payload(tmp_path))
         run_pipeline(config)
         paths = artifact_paths(config.out_dir)
-        os.remove(paths["scores"])
+        before = open(paths[deleted], "rb").read()
+        os.remove(paths[deleted])
         report = run_pipeline(config)
-        # eval rewrites scores.csv byte for byte, so compare stays current.
-        assert report["stages_run"] == ["eval", "report"]
-        assert os.path.exists(paths["scores"])
+        # The stage rewrites every output byte for byte, so the stages
+        # that read them stay current.
+        assert report["stages_run"] == reruns
+        assert open(paths[deleted], "rb").read() == before
 
     def test_loss_change_reruns_from_train(self, tmp_path):
         payload = _payload(tmp_path, train={"loss": "focal"})
@@ -532,6 +577,14 @@ class TestCli:
     def test_bad_override_is_config_error(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path, n_sessions=60, n_anomalous=4)
         assert main(["run", "--config", cfg, "--set", "train.epochs=oops"]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["absent", "not_json"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["run", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_missing_logs_is_data_error(self, tmp_path, capsys):

@@ -161,8 +161,11 @@ class TestLearnability:
         result = train(_toy_model(seed=1), split, _toy_config(epochs=2))
         probe = _toy_model(seed=9)
         probe.load_state(result.best_state)
-        report, _, _ = evaluate(probe, split.val, LOSS_FOCAL, FocalParams())
+        report, val_loss, scores = evaluate(probe, split.val, LOSS_FOCAL, FocalParams())
         assert report.f1 == result.best_f1
+        # The returned scores and loss are the best state's, bit for bit.
+        assert np.array_equal(scores, result.best_scores)
+        assert val_loss == result.best_val_loss
 
 
 class TestGuards:
