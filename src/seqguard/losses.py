@@ -52,11 +52,6 @@ def focal_loss(p_true: float, params: FocalParams) -> float:
     return -params.alpha * (1.0 - p) ** params.gamma * math.log(p)
 
 
-def alpha_for_label(label: int, params: FocalParams) -> float:
-    """Class-indexed weight: alpha for the anomaly class, 1 - alpha for normal."""
-    return params.alpha if label == 1 else 1.0 - params.alpha
-
-
 def classification_loss(
     tape: Tape,
     logits: Tensor,

@@ -82,8 +82,9 @@ class AdamW:
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grads(self) -> None:
+        # Backward keeps each first gradient as the grad; step reads None as 0.
         for p in self.params:
-            p.grad = np.zeros_like(p.data)
+            p.grad = None
 
     def step(self, lr: float) -> None:
         self.t += 1

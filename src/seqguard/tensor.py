@@ -1,7 +1,7 @@
 """Dense 2-D float64 tensors with tape-based reverse-mode differentiation.
 
 Every primitive records itself on a Tape during the forward pass; the
-backward pass replays the records in reverse, accumulating gradients
+backward pass consumes the records in reverse, accumulating gradients
 additively into any tensor marked as requiring them. The op set is the
 minimum a small causal decoder needs: elementwise and matrix ops, row
 softmax, layer norm, GELU, row gathers, and one batched multi-head causal
@@ -61,9 +61,14 @@ class Tensor:
         return float(self.data[0, 0])
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` into the gradient; a first ``g`` is kept, not copied.
+
+        The caller hands over ``g``: no one else may hold or later mutate it.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -80,7 +85,7 @@ class _Node:
 
 
 class Tape:
-    """Records primitive ops in order; backward() replays them reversed.
+    """Records primitive ops in order; backward() consumes them in reverse.
 
     With ``record=False`` the ops still compute forward values but leave
     no trace, which keeps repeated forward-only evaluations (finite
@@ -90,6 +95,7 @@ class Tape:
     def __init__(self, record: bool = True):
         self.record = record
         self._nodes: list[_Node] = []
+        self._consumed = False
 
     def _emit(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
         if self.record:
@@ -99,20 +105,45 @@ class Tape:
         return out
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)=1 and accumulate gradients into requiring tensors."""
+        """Seed d(loss)=1 and accumulate gradients into requiring tensors.
+
+        The pass consumes the tape: each node is dropped as it runs and its
+        output's gradient is released once passed on, so saved forward
+        arrays and intermediate gradients are freed during the pass rather
+        than with the tape. Afterwards only tensors that no op produced
+        (leaves) hold gradients; a second call raises RuntimeError.
+        """
         if not self.record:
             raise RuntimeError("cannot run backward on a non-recording tape")
+        if self._consumed:
+            raise RuntimeError("backward already consumed this tape")
         if loss.data.size != 1:
             raise ShapeMismatch("backward() expects a scalar (1x1) loss")
+        self._consumed = True
         loss.accumulate_grad(np.ones_like(loss.data))
-        for node in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            node = nodes.pop()
             out_grad = node.out.grad
             if out_grad is None:
                 continue
             grads = node.backward_fn(out_grad)
+            node.out.grad = None
+            # Backward functions return fresh arrays or views of out_grad
+            # (add gives (g, g), transpose g.T). A tensor keeps its first
+            # gradient only if it is C-contiguous, as a zeros + g sum would
+            # be, and shares no memory with one an earlier input kept.
+            kept: list[np.ndarray] = []
             for tensor, g in zip(node.inputs, grads):
-                if g is not None and tensor.requires_grad:
-                    tensor.accumulate_grad(g)
+                if g is None or not tensor.requires_grad:
+                    continue
+                if tensor.grad is None:
+                    if not g.flags.c_contiguous or any(
+                        np.may_share_memory(g, k) for k in kept
+                    ):
+                        g = g.copy()
+                    kept.append(g)
+                tensor.accumulate_grad(g)
 
     # ---- primitives ----------------------------------------------------
 
@@ -274,13 +305,14 @@ class Tape:
 
     def gelu(self, a: Tensor) -> Tensor:
         x = a.data
-        u = GELU_C * (x + GELU_K * (x * x * x))
+        x2 = x * x
+        u = GELU_C * (x + GELU_K * (x2 * x))
         t = np.tanh(u)
         out = Tensor(0.5 * x * (1.0 + t))
 
         def backward(g):
-            du = GELU_C * (1.0 + 3.0 * GELU_K * x**2)
-            d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du
+            du = GELU_C * (1.0 + 3.0 * GELU_K * x2)
+            d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
             return (g * d,)
 
         return self._emit(out, (a,), backward)

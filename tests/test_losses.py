@@ -14,7 +14,6 @@ from seqguard.losses import (
     LOSS_FOCAL,
     PROB_FLOOR,
     FocalParams,
-    alpha_for_label,
     classification_loss,
     cross_entropy,
     focal_loss,
@@ -49,11 +48,6 @@ class TestScalarForms:
         assert focal_loss(p, FocalParams(alpha=0.5, gamma=0.0)) == pytest.approx(
             0.5 * cross_entropy(p), abs=1e-15
         )
-
-    def test_alpha_for_label(self):
-        params = FocalParams(alpha=0.25, gamma=2.0)
-        assert alpha_for_label(1, params) == 0.25
-        assert alpha_for_label(0, params) == 0.75
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -105,7 +99,10 @@ class TestTapeForm:
         if kind == LOSS_FOCAL:
             # Class-indexed alpha: the scalar form gets each row's alpha_t.
             per = [
-                focal_loss(probs[i, y], FocalParams(alpha_for_label(y, params), params.gamma))
+                focal_loss(
+                    probs[i, y],
+                    FocalParams(params.alpha if y == 1 else 1.0 - params.alpha, params.gamma),
+                )
                 for i, y in enumerate(labels)
             ]
         else:

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import seqguard
 from seqguard import pipeline
 from seqguard.cli import _exit_code_for, main
 from seqguard.config import config_from_dict, dump_json_file, load_json_file
@@ -612,3 +616,43 @@ class TestCli:
         assert _exit_code_for(ValueError("bad value")) == 2
         assert _exit_code_for(OSError("gone")) == 2
         assert _exit_code_for(KeyError("missing")) == 2
+
+    @pytest.mark.parametrize("libc", ["no_library", "no_mallopt"])
+    def test_heap_policy_is_optional(self, tmp_path, capsys, monkeypatch, libc):
+        def cdll(name):
+            if libc == "no_library":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        cfg = self._config_file(tmp_path, n_sessions=60, n_anomalous=4)
+        assert main(["parse", "--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith("ok parse:")
+
+    def test_main_sets_both_heap_thresholds(self, monkeypatch, capsys):
+        calls = []
+        libc = type("Libc", (), {"mallopt": staticmethod(lambda *args: calls.append(args))})
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc())
+        assert main([]) == 1
+        capsys.readouterr()
+        # M_TRIM_THRESHOLD 64 MiB, M_MMAP_THRESHOLD 16 MiB.
+        assert calls == [(-1, 64 << 20), (-3, 16 << 20)]
+
+    def test_import_sets_no_heap_policy(self):
+        code = (
+            "import ctypes\n"
+            "calls = []\n"
+            "class Libc:\n"
+            "    def mallopt(self, *args):\n"
+            "        calls.append(args)\n"
+            "ctypes.CDLL = lambda *args, **kwargs: Libc()\n"
+            "import seqguard, seqguard.cli\n"
+            "assert calls == [], calls\n"
+        )
+        src = os.path.dirname(os.path.dirname(seqguard.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr

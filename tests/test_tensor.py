@@ -319,3 +319,62 @@ def test_every_primitive_has_a_criterion_03_case():
         if not any(case == op or case.startswith(op + "_") for case in cases)
     ]
     assert primitives and not missing, f"no criterion-03 case for {missing}"
+
+
+class TestGradientOwnership:
+    """Backward keeps a first gradient instead of copying it; no tensor may
+    end up sharing its gradient's memory with another."""
+
+    @pytest.mark.parametrize("name", sorted(_fd_op_cases()))
+    def test_op_applied_twice_doubles_the_gradient(self, name):
+        f, x = _fd_op_cases()[name](np.random.default_rng(5))
+        tape = Tape()
+        tape.backward(f(tape))
+        once = x.grad.copy()
+        assert x.grad.flags.c_contiguous
+        x.grad = None
+        tape = Tape()
+        tape.backward(tape.add(f(tape), f(tape)))
+        assert np.array_equal(x.grad, 2.0 * once)
+
+    def test_add_of_a_tensor_with_itself(self):
+        rng = np.random.default_rng(30)
+        x, w = _t(rng, 3, 4), rng.normal(size=(3, 4))
+        tape = Tape()
+        tape.backward(tape.mean_all(tape.hadamard(tape.add(x, x), Tensor(w))))
+        assert np.array_equal(x.grad, w * (1 / 12) + w * (1 / 12))
+
+    def test_hadamard_of_a_tensor_with_itself(self):
+        rng = np.random.default_rng(31)
+        x = _t(rng, 3, 4)
+        tape = Tape()
+        tape.backward(tape.sum_all(tape.hadamard(x, x)))
+        assert np.array_equal(x.grad, x.data + x.data)
+
+    def test_add_operands_keep_separate_gradients(self):
+        # add hands the same array to both operands. y's later gradient
+        # (from its earlier use) must not leak into x's.
+        rng = np.random.default_rng(32)
+        x, y = _t(rng, 3, 4), _t(rng, 3, 4)
+        w, v = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        tape = Tape()
+        used_first = tape.sum_all(tape.hadamard(y, Tensor(v)))
+        summed = tape.mean_all(tape.hadamard(tape.add(x, y), Tensor(w)))
+        tape.backward(tape.add(used_first, summed))
+        assert np.array_equal(x.grad, w * (1 / 12))
+        assert np.array_equal(y.grad, w * (1 / 12) + v)
+
+    def test_backward_consumes_the_tape(self):
+        rng = np.random.default_rng(33)
+        x = _t(rng, 3, 4)
+        w = Tensor(rng.normal(size=(4, 4)))
+        tape = Tape()
+        hidden = tape.gelu(tape.matmul(x, w))
+        loss = tape.mean_all(hidden)
+        tape.backward(loss)
+        assert tape._nodes == []
+        assert hidden.grad is None and loss.grad is None
+        assert x.grad is not None and x.grad.shape == x.shape
+        assert w.grad is None
+        with pytest.raises(RuntimeError):
+            tape.backward(loss)
