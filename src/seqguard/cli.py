@@ -3,8 +3,8 @@
 ``seqguard <subcommand> --config <file> [overrides]`` where subcommands
 are the pipeline stages (parse, sessionize, dataset, train, eval, judge,
 compare, report), ``run`` for the whole pipeline, and ``ablate`` for the
-three-arm comparison. Exit codes: 0 success, 1 usage, 2 data error,
-3 stage failure.
+three-arm comparison. Exit codes: 0 success, 1 usage or configuration
+error, 2 data error, 3 internal failure.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Experiment configuration: one JSON document, dotted-key overrides,
-and labeled per-stage seed derivation from a single root seed."""
+and labeled per-stage seed derivation from a single root seed. Each
+section is the settings type its module takes, checked when it loads."""
 
 from __future__ import annotations
 
@@ -9,7 +10,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .drain import DEFAULT_HEADER_PATTERN
+from .drain import DEFAULT_HEADER_PATTERN, check_tree
+from .judge import JudgeConfig
+from .model import ModelSettings
+from .sessions import check_window
+from .training import TrainConfig
 
 ARMS = ("A", "B", "C")
 
@@ -27,53 +32,17 @@ class DrainSettings:
     max_children: int = 100
     header_pattern: str = DEFAULT_HEADER_PATTERN
 
+    def __post_init__(self):
+        check_tree(self.depth, self.sim_threshold, self.max_children)
+
 
 @dataclass
 class WindowSettings:
     window_length: int = 64
     stride: int = 64
 
-
-@dataclass
-class ModelSettings:
-    d_model: int = 64
-    n_heads: int = 2
-    n_layers: int = 2
-    d_ff: int = 256
-    max_seq_len: int = 128
-    dropout: float = 0.0
-
-
-@dataclass
-class TrainSettings:
-    learning_rate: float = 2e-5
-    epochs: int = 1
-    batch_size: int = 8
-    grad_accum_steps: int = 4
-    max_grad_norm: float = 1.0
-    warmup_fraction: float = 0.1
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    loss: str = "focal"
-    alpha: float = 0.25
-    gamma: float = 2.0
-    threshold: float = 0.5
-    pretrain_steps: int = 0
-
-
-@dataclass
-class JudgeSettings:
-    enabled: bool = False
-    endpoint: str = "https://api.openai.com/v1/chat/completions"
-    model: str = "gpt-4"
-    timeout: float = 30.0
-    max_retries: int = 3
-    rate_limit: float = 2.0
-    cache_dir: Optional[str] = None
-    fixtures: Optional[str] = None
-    prompt_template: Optional[str] = None
+    def __post_init__(self):
+        check_window(self.window_length, self.stride)
 
 
 @dataclass
@@ -89,8 +58,8 @@ class ExperimentConfig:
     drain: DrainSettings = field(default_factory=DrainSettings)
     window: WindowSettings = field(default_factory=WindowSettings)
     model: ModelSettings = field(default_factory=ModelSettings)
-    train: TrainSettings = field(default_factory=TrainSettings)
-    judge: JudgeSettings = field(default_factory=JudgeSettings)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    judge: JudgeConfig = field(default_factory=JudgeConfig)
 
     def __post_init__(self):
         if self.arm not in ARMS:
@@ -101,6 +70,11 @@ class ExperimentConfig:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.raw_vocab_size < 1:
             raise ValueError("raw_vocab_size must be positive")
+        if self.model.max_seq_len < self.window.window_length + 1:
+            raise ValueError(
+                f"max_seq_len {self.model.max_seq_len} must be at least "
+                f"window_length + 1 = {self.window.window_length + 1}"
+            )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -116,8 +90,8 @@ _SECTIONS = {
     "drain": DrainSettings,
     "window": WindowSettings,
     "model": ModelSettings,
-    "train": TrainSettings,
-    "judge": JudgeSettings,
+    "train": TrainConfig,
+    "judge": JudgeConfig,
 }
 
 
@@ -150,16 +124,20 @@ def _check_field_type(context: str, field_obj: dataclasses.Field, value: Any) ->
     return value
 
 
-def _build_section(cls, payload: dict, context: str):
+def _build(cls, payload: dict, context: str):
     fields_by_name = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(payload) - set(fields_by_name)
     if unknown:
         raise ValueError(f"unknown config keys in {context}: {sorted(unknown)}")
-    checked = {
-        key: _check_field_type(context, fields_by_name[key], value)
-        for key, value in payload.items()
-    }
-    return cls(**checked)
+    kwargs: dict[str, Any] = {}
+    for key, value in payload.items():
+        if cls is not ExperimentConfig or key not in _SECTIONS:
+            kwargs[key] = _check_field_type(context, fields_by_name[key], value)
+        elif value is not None:
+            if not isinstance(value, dict):
+                raise ValueError(f"config section {key!r} must be an object")
+            kwargs[key] = _build(_SECTIONS[key], value, key)
+    return cls(**kwargs)
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
@@ -167,21 +145,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     fall back to defaults."""
     if not isinstance(payload, dict):
         raise ValueError("config document must be a JSON object")
-    top = dict(payload)
-    kwargs: dict[str, Any] = {}
-    for name, cls in _SECTIONS.items():
-        section = top.pop(name, None)
-        if section is not None:
-            if not isinstance(section, dict):
-                raise ValueError(f"config section {name!r} must be an object")
-            kwargs[name] = _build_section(cls, section, name)
-    fields_by_name = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(top) - set(fields_by_name)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in top.items():
-        kwargs[key] = _check_field_type("config", fields_by_name[key], value)
-    return ExperimentConfig(**kwargs)
+    return _build(ExperimentConfig, payload, "config")
 
 
 def _coerce(raw: str) -> Any:

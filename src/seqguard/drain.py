@@ -91,6 +91,15 @@ class _Node:
         self.templates: list[EventTemplate] = []
 
 
+def check_tree(depth: int, sim_threshold: float, max_children: int) -> None:
+    if depth < 3:
+        raise ValueError("tree depth must be at least 3")
+    if not 0.0 < sim_threshold < 1.0:
+        raise ValueError("similarity threshold must be in (0, 1)")
+    if max_children < 1:
+        raise ValueError("max_children must be positive")
+
+
 @dataclass
 class ParseTree:
     """Fixed-depth parse tree assigning dense event ids to log lines.
@@ -108,12 +117,7 @@ class ParseTree:
     _templates: list[EventTemplate] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
-        if self.depth < 3:
-            raise ValueError("tree depth must be at least 3")
-        if not 0.0 < self.sim_threshold < 1.0:
-            raise ValueError("similarity threshold must be in (0, 1)")
-        if self.max_children < 1:
-            raise ValueError("max_children must be positive")
+        check_tree(self.depth, self.sim_threshold, self.max_children)
 
     @property
     def templates(self) -> list[EventTemplate]:

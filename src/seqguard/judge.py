@@ -64,21 +64,26 @@ class CoverageGap(ValueError):
 
 @dataclass
 class JudgeConfig:
+    """Judge settings; the ``judge`` config section. The pipeline fills in
+    ``cache_dir`` (``<out_dir>/judge_cache``) and ``prompt_template``
+    (``DEFAULT_PROMPT_TEMPLATE``) when they are left unset."""
+
+    enabled: bool = False
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     model: str = "gpt-4"
     timeout: float = 30.0
     max_retries: int = 3
     rate_limit: float = 2.0
-    cache_dir: str = "judge_cache"
-    fixtures_dir: Optional[str] = None
-    prompt_template: str = DEFAULT_PROMPT_TEMPLATE
+    cache_dir: Optional[str] = None
+    fixtures: Optional[str] = None
+    prompt_template: Optional[str] = None
 
     def __post_init__(self):
         if self.rate_limit <= 0:
             raise ValueError("rate_limit must be positive requests/sec")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if "{events}" not in self.prompt_template:
+        if self.prompt_template is not None and "{events}" not in self.prompt_template:
             raise ValueError("prompt_template must contain an {events} slot")
 
 
@@ -221,6 +226,8 @@ def classify_remote(
     An injected transport takes the request payload and returns the
     response body, replacing the HTTP layer in tests.
     """
+    if config.fixtures is None and config.cache_dir is None:
+        raise ValueError("cache_dir must be set unless fixtures are")
     pacer = _Pacer(min_interval=1.0 / config.rate_limit, sleep=sleep)
     api_key = os.environ.get(API_KEY_ENV_VAR)
     verdicts = []
@@ -228,10 +235,8 @@ def classify_remote(
         body = None
         source = None
 
-        if config.fixtures_dir is not None:
-            fixture_path = os.path.join(
-                config.fixtures_dir, f"{prompt_hash(prompt)}.json"
-            )
+        if config.fixtures is not None:
+            fixture_path = os.path.join(config.fixtures, f"{prompt_hash(prompt)}.json")
             if not os.path.exists(fixture_path):
                 raise EndpointUnavailable(
                     f"fixture mode: no fixture {os.path.basename(fixture_path)} "
@@ -241,13 +246,14 @@ def classify_remote(
                 body = json.load(handle)
             source = "fixture"
 
-        cache_path = os.path.join(
-            config.cache_dir, f"{cache_key(config.model, prompt)}.json"
-        )
-        if body is None and os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as handle:
-                body = json.load(handle)["response"]
-            source = "cache"
+        if body is None:
+            cache_path = os.path.join(
+                config.cache_dir, f"{cache_key(config.model, prompt)}.json"
+            )
+            if os.path.exists(cache_path):
+                with open(cache_path, "r", encoding="utf-8") as handle:
+                    body = json.load(handle)["response"]
+                source = "cache"
 
         if body is None:
             if transport is None and api_key is None:

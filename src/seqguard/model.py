@@ -12,7 +12,7 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,8 +37,9 @@ class VocabHashMismatch(ValueError):
 
 
 @dataclass
-class ModelConfig:
-    vocab_size: int
+class ModelSettings:
+    """The decoder's shape; the ``model`` config section."""
+
     d_model: int = 64
     n_heads: int = 2
     n_layers: int = 2
@@ -47,6 +48,8 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError("n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -55,6 +58,16 @@ class ModelConfig:
             raise ValueError("max_seq_len is capped at 128 tokens")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+
+
+@dataclass
+class ModelConfig(ModelSettings):
+    """A shape over a vocabulary, which is known once the dataset is built."""
+
+    vocab_size: int = field(kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.vocab_size < 2:
             raise ValueError("vocab_size must cover at least PAD and one event")
 

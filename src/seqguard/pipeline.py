@@ -38,7 +38,7 @@ from .drain import (
     parse_file,
 )
 from .judge import (
-    JudgeConfig,
+    DEFAULT_PROMPT_TEMPLATE,
     build_prompt,
     classify_remote,
     compare,
@@ -47,7 +47,7 @@ from .judge import (
     write_comparison_csv,
     write_verdicts_jsonl,
 )
-from .losses import LOSS_CROSS_ENTROPY, LOSS_FOCAL, FocalParams
+from .losses import LOSS_CROSS_ENTROPY, LOSS_FOCAL
 from .metrics import format_confusion, full_report, roc_curve, write_roc_csv
 from .model import (
     ModelConfig,
@@ -74,7 +74,7 @@ from .sessions import (
     write_windows_jsonl,
 )
 # No stage calls evaluate; it stays importable because the traced benchmark wraps it by name.
-from .training import TrainConfig, evaluate, train, write_curve_csv, write_epochs_csv
+from .training import evaluate, train, write_curve_csv, write_epochs_csv
 
 SPECIAL_VOCAB_ENTRIES = ["<pad>", "<unk>", "<cls>"]
 
@@ -322,43 +322,6 @@ def stage_dataset(config: ExperimentConfig) -> dict:
     return {"pool_windows": pool_size, "vocab_size": len(entries), "counts": counts}
 
 
-def _model_config(config: ExperimentConfig, vocab_size: int) -> ModelConfig:
-    if config.model.max_seq_len < config.window.window_length + 1:
-        raise ValueError(
-            f"max_seq_len {config.model.max_seq_len} must be at least "
-            f"window_length + 1 = {config.window.window_length + 1}"
-        )
-    return ModelConfig(
-        vocab_size=vocab_size,
-        d_model=config.model.d_model,
-        n_heads=config.model.n_heads,
-        n_layers=config.model.n_layers,
-        d_ff=config.model.d_ff,
-        max_seq_len=config.model.max_seq_len,
-        dropout=config.model.dropout,
-    )
-
-
-def _train_config(config: ExperimentConfig) -> TrainConfig:
-    t = config.train
-    return TrainConfig(
-        learning_rate=t.learning_rate,
-        epochs=t.epochs,
-        batch_size=t.batch_size,
-        grad_accum_steps=t.grad_accum_steps,
-        max_grad_norm=t.max_grad_norm,
-        warmup_fraction=t.warmup_fraction,
-        weight_decay=t.weight_decay,
-        beta1=t.beta1,
-        beta2=t.beta2,
-        eps=t.eps,
-        seed=derive_seed(config.seed, "train"),
-        loss=t.loss,
-        focal=FocalParams(alpha=t.alpha, gamma=t.gamma),
-        threshold=t.threshold,
-    )
-
-
 def stage_train(config: ExperimentConfig) -> dict:
     paths = artifact_paths(config.out_dir)
     vocab = load_json_file(paths["vocab"])
@@ -367,7 +330,7 @@ def stage_train(config: ExperimentConfig) -> dict:
     train_windows = read_windows_jsonl(paths["train_windows"], window_length)
     val_windows = read_windows_jsonl(paths["val_windows"], window_length)
 
-    mconfig = _model_config(config, len(entries))
+    mconfig = ModelConfig(vocab_size=len(entries), **asdict(config.model))
     init_seed = derive_seed(config.seed, "model_init")
     params = ModelParams(mconfig, seed=init_seed)
 
@@ -385,7 +348,6 @@ def stage_train(config: ExperimentConfig) -> dict:
             "final_holdout_loss": result.final_holdout_loss,
         }
 
-    tconfig = _train_config(config)
     split_result = DatasetSplit(
         train=train_windows,
         val=val_windows,
@@ -393,7 +355,7 @@ def stage_train(config: ExperimentConfig) -> dict:
         seed=derive_seed(config.seed, "split"),
         train_fraction=config.train_fraction,
     )
-    result = train(params, split_result, tconfig)
+    result = train(params, split_result, config.train, derive_seed(config.seed, "train"))
 
     params.load_state(result.best_state)
     save_checkpoint(
@@ -444,22 +406,6 @@ def stage_eval(config: ExperimentConfig) -> dict:
     return payload
 
 
-def _judge_config(config: ExperimentConfig) -> JudgeConfig:
-    j = config.judge
-    kwargs = {
-        "endpoint": j.endpoint,
-        "model": j.model,
-        "timeout": j.timeout,
-        "max_retries": j.max_retries,
-        "rate_limit": j.rate_limit,
-        "cache_dir": j.cache_dir or os.path.join(config.out_dir, "judge_cache"),
-        "fixtures_dir": j.fixtures,
-    }
-    if j.prompt_template is not None:
-        kwargs["prompt_template"] = j.prompt_template
-    return JudgeConfig(**kwargs)
-
-
 def stage_judge(config: ExperimentConfig, transport=None) -> dict:
     paths = artifact_paths(config.out_dir)
     vocab = load_json_file(paths["vocab"])
@@ -470,11 +416,12 @@ def stage_judge(config: ExperimentConfig, transport=None) -> dict:
     templates = load_templates(paths["templates"])
     table = vocab_template_table(templates)
     val_windows = read_windows_jsonl(paths["val_windows"], vocab["window_length"])
-    jconfig = _judge_config(config)
-    prompts = [
-        (w.window_id, build_prompt(w, table, jconfig.prompt_template))
-        for w in val_windows
-    ]
+    jconfig = replace(
+        config.judge,
+        cache_dir=config.judge.cache_dir or os.path.join(config.out_dir, "judge_cache"),
+    )
+    template = config.judge.prompt_template or DEFAULT_PROMPT_TEMPLATE
+    prompts = [(w.window_id, build_prompt(w, table, template)) for w in val_windows]
     verdicts = classify_remote(jconfig, prompts, transport=transport)
     write_verdicts_jsonl(paths["verdicts"], verdicts)
     sources = Counter(v.source for v in verdicts)

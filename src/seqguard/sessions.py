@@ -20,7 +20,7 @@ from .drain import StructuredLine
 # windows are assembled into model inputs.
 PAD_ID = 0
 UNK_ID = 1
-CLS_ID = 2
+# Slot 2 (``<cls>``) is reserved but never emitted.
 NUM_SPECIALS = 3
 
 _BLOCK_RE = re.compile(r"blk_-?\d+")
@@ -136,6 +136,13 @@ class LabeledWindow:
     pad_len: int = 0
 
 
+def check_window(window_length: int, stride: int) -> None:
+    if window_length < 1:
+        raise ValueError("window_length must be >= 1")
+    if not 1 <= stride <= window_length:
+        raise ValueError("stride must satisfy 1 <= stride <= window_length")
+
+
 def windowize(session: Session, window_length: int, stride: int) -> list[LabeledWindow]:
     """Cut a session into fixed-length windows inheriting its label.
 
@@ -143,10 +150,7 @@ def windowize(session: Session, window_length: int, stride: int) -> list[Labeled
     right-padded with PAD_ID. A session shorter than the window yields a
     single padded window.
     """
-    if window_length < 1:
-        raise ValueError("window_length must be >= 1")
-    if not 1 <= stride <= window_length:
-        raise ValueError("stride must satisfy 1 <= stride <= window_length")
+    check_window(window_length, stride)
     events = session.event_ids
     n = len(events)
     windows: list[LabeledWindow] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,8 @@ class EmptySplit(ValueError):
 
 @dataclass
 class TrainConfig:
+    """Fine-tuning settings; the ``train`` config section."""
+
     learning_rate: float = 2e-5
     epochs: int = 1
     batch_size: int = 8
@@ -41,10 +43,11 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    seed: int = 0
     loss: str = LOSS_FOCAL
-    focal: FocalParams = field(default_factory=FocalParams)
+    alpha: float = 0.25
+    gamma: float = 2.0
     threshold: float = DEFAULT_THRESHOLD
+    pretrain_steps: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -59,8 +62,11 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0 and eps > 0")
         if self.loss not in (LOSS_FOCAL, LOSS_CROSS_ENTROPY):
             raise ValueError(f"unknown loss kind {self.loss!r}")
-        if isinstance(self.focal, dict):
-            self.focal = FocalParams(**self.focal)
+        self.focal  # raises on a bad alpha or gamma
+
+    @property
+    def focal(self) -> FocalParams:
+        return FocalParams(alpha=self.alpha, gamma=self.gamma)
 
 
 @dataclass
@@ -134,7 +140,7 @@ def planned_steps(n_train: int, tconfig: TrainConfig) -> int:
 
 
 def train(
-    params: ModelParams, split: DatasetSplit, tconfig: TrainConfig
+    params: ModelParams, split: DatasetSplit, tconfig: TrainConfig, seed: int
 ) -> TrainResult:
     """Run the fine-tuning loop; params end at the final state, the best
     (max validation F1, ties to lower validation loss) state is returned
@@ -145,9 +151,9 @@ def train(
     if val_labels != {0, 1}:
         raise EmptySplit("validation split must contain both classes")
 
-    rng = np.random.default_rng(tconfig.seed)
+    rng = np.random.default_rng(seed)
     dropout_rng = (
-        np.random.default_rng([tconfig.seed, 1])
+        np.random.default_rng([seed, 1])
         if params.config.dropout > 0
         else None
     )
@@ -155,6 +161,7 @@ def train(
     n_train = len(split.train)
     total_steps = planned_steps(n_train, tconfig)
     micro_per_epoch = math.ceil(n_train / tconfig.batch_size)
+    focal = tconfig.focal
 
     optimizer = AdamW(
         params.parameters(),
@@ -193,7 +200,7 @@ def train(
                     tape, params, train_ids[rows], train_last[rows], dropout_rng
                 )
                 loss = classification_loss(
-                    tape, logits, train_labels[rows], tconfig.loss, tconfig.focal
+                    tape, logits, train_labels[rows], tconfig.loss, focal
                 )
                 value = loss.item()
                 if not math.isfinite(value):
@@ -224,7 +231,7 @@ def train(
             curve.append(CurvePoint(step=step, loss=group_loss, lr=lr))
 
         report, val_loss, scores = evaluate(
-            params, split.val, tconfig.loss, tconfig.focal, tconfig.threshold
+            params, split.val, tconfig.loss, focal, tconfig.threshold
         )
         epoch_rows.append(
             EpochRow(

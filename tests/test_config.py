@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from seqguard.config import (
+    _SECTIONS,
     ARMS,
     ExperimentConfig,
     apply_overrides,
@@ -97,6 +100,24 @@ class TestValidation:
     def test_bool_field_rejects_int(self):
         with pytest.raises(ValueError, match="judge.enabled must be true or false"):
             config_from_dict({"judge": {"enabled": 1}})
+
+
+def _all_fields():
+    for section, cls in _SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            yield section, f.name
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name not in _SECTIONS:
+            yield None, f.name
+
+
+@pytest.mark.parametrize("section,name", list(_all_fields()))
+def test_every_field_is_type_checked(section, name):
+    # A field whose declared type the loader does not check would pass any
+    # value through to its section type.
+    payload = {section: {name: object()}} if section else {name: object()}
+    with pytest.raises(ValueError, match=rf"^{section or 'config'}\.{name} must be "):
+        config_from_dict(payload)
 
 
 class TestOverrides:

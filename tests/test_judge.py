@@ -134,7 +134,7 @@ class TestClassifyRemote:
         def transport(payload):
             raise AssertionError("network must not be touched in fixture mode")
 
-        config = _config(tmp_path, fixtures_dir=str(fixtures))
+        config = _config(tmp_path, fixtures=str(fixtures))
         verdicts = classify_remote(config, [("w1", prompt)], transport=transport)
         assert verdicts == [
             Verdict(window_id="w1", label=1, raw_response="ANOMALY", source="fixture")
@@ -144,9 +144,14 @@ class TestClassifyRemote:
     def test_fixture_missing_raises(self, tmp_path):
         fixtures = tmp_path / "fixtures"
         fixtures.mkdir()
-        config = _config(tmp_path, fixtures_dir=str(fixtures))
+        config = _config(tmp_path, fixtures=str(fixtures))
         with pytest.raises(EndpointUnavailable):
             classify_remote(config, [("w1", "unseen prompt")], transport=lambda p: None)
+
+    def test_live_mode_needs_a_cache_dir(self):
+        config = JudgeConfig(rate_limit=1e6)
+        with pytest.raises(ValueError, match="cache_dir"):
+            classify_remote(config, [("w1", "prompt A")], transport=lambda p: _response("NORMAL"))
 
     def test_live_call_populates_cache(self, tmp_path):
         config = _config(tmp_path)

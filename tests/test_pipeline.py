@@ -344,13 +344,8 @@ class TestResume:
 
 class TestStageGuards:
     def test_short_context_budget_rejected(self, tmp_path):
-        config = _staged(
-            tmp_path, through="dataset", model={"max_seq_len": 8}
-        )
-        with pytest.raises(StageError) as excinfo:
-            run_stage("train", config)
-        assert isinstance(excinfo.value.cause, ValueError)
-        assert "max_seq_len" in str(excinfo.value.cause)
+        with pytest.raises(ValueError, match="max_seq_len"):
+            config_from_dict(_payload(tmp_path, model={"max_seq_len": 8}))
 
     def test_stage_error_keeps_stage_and_cause(self, tmp_path):
         config = config_from_dict(
@@ -582,6 +577,29 @@ class TestCli:
         cfg = self._config_file(tmp_path, n_sessions=60, n_anomalous=4)
         assert main(["run", "--config", cfg, "--set", "train.epochs=oops"]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "train.learning_rate=0",
+            "train.alpha=0",
+            "train.loss=bogus",
+            "model.d_model=63",
+            "model.n_heads=0",
+            "model.dropout=1.5",
+            "model.max_seq_len=8",  # below window_length + 1
+            "judge.rate_limit=0",
+            "judge.prompt_template=no slot",
+            "window.stride=0",
+            "drain.depth=1",
+        ],
+    )
+    def test_invalid_setting_fails_before_any_stage(self, tmp_path, capsys, override):
+        cfg = self._config_file(tmp_path, n_sessions=60, n_anomalous=4)
+        assert main(["run", "--config", cfg, "--set", override]) == 1
+        assert "config error" in capsys.readouterr().err
+        out_dir = tmp_path / "out"
+        assert not out_dir.exists() or not os.listdir(out_dir)
 
     @pytest.mark.parametrize("content", [None, "{not json"], ids=["absent", "not_json"])
     def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, content):

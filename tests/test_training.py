@@ -29,13 +29,15 @@ def _split(seed=0, n=120, rate=0.1):
     return split_fn(sentinel_pool(seed, n, anomaly_rate=rate), 0.8, seed=seed)
 
 
+TRAIN_SEED = 5
+
+
 def _toy_config(**overrides):
     base = dict(
         learning_rate=1e-2,
         epochs=1,
         batch_size=16,
         grad_accum_steps=1,
-        seed=5,
         loss=LOSS_FOCAL,
     )
     base.update(overrides)
@@ -65,10 +67,10 @@ class TestConfig:
             TrainConfig(warmup_fraction=1.0)
         with pytest.raises(ValueError):
             TrainConfig(loss="hinge")
-
-    def test_focal_accepts_mapping(self):
-        c = TrainConfig(focal={"alpha": 0.5, "gamma": 1.0})
-        assert c.focal == FocalParams(alpha=0.5, gamma=1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            TrainConfig(alpha=0.0)
+        with pytest.raises(ValueError, match="gamma"):
+            TrainConfig(gamma=-1.0)
 
 
 class TestStepArithmetic:
@@ -86,7 +88,7 @@ class TestStepArithmetic:
     def test_curve_length_matches_plan(self):
         split = _split()
         c = _toy_config(batch_size=8, grad_accum_steps=2, epochs=2)
-        result = train(_toy_model(), split, c)
+        result = train(_toy_model(), split, c, TRAIN_SEED)
         assert result.total_steps == planned_steps(len(split.train), c)
         assert len(result.curve) == result.total_steps
         assert [p.step for p in result.curve] == list(range(1, result.total_steps + 1))
@@ -94,7 +96,7 @@ class TestStepArithmetic:
     def test_curve_lr_follows_schedule(self):
         split = _split()
         c = _toy_config(epochs=2, warmup_fraction=0.25)
-        result = train(_toy_model(), split, c)
+        result = train(_toy_model(), split, c, TRAIN_SEED)
         total = result.total_steps
         for point in result.curve:
             assert point.lr == lr_schedule(point.step, total, c.learning_rate, 0.25)
@@ -105,7 +107,7 @@ class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
         outs = []
         for _ in range(2):
-            result = train(_toy_model(seed=2), _split(), _toy_config())
+            result = train(_toy_model(seed=2), _split(), _toy_config(), TRAIN_SEED)
             outs.append(result)
         a, b = outs
         assert [(p.step, p.loss, p.lr) for p in a.curve] == [
@@ -115,8 +117,8 @@ class TestDeterminism:
             assert np.array_equal(a.best_state[name], b.best_state[name])
 
     def test_shuffle_seed_changes_curve(self):
-        a = train(_toy_model(seed=2), _split(), _toy_config(seed=5))
-        b = train(_toy_model(seed=2), _split(), _toy_config(seed=6))
+        a = train(_toy_model(seed=2), _split(), _toy_config(), seed=5)
+        b = train(_toy_model(seed=2), _split(), _toy_config(), seed=6)
         assert [p.loss for p in a.curve] != [p.loss for p in b.curve]
 
     def test_accumulation_matches_single_batch(self):
@@ -126,8 +128,12 @@ class TestDeterminism:
         split = DatasetSplit(
             train=windows[:8], val=windows[8:], test=[], seed=0, train_fraction=0.5
         )
-        whole = train(_toy_model(seed=4), split, _toy_config(batch_size=8, grad_accum_steps=1, epochs=1))
-        halves = train(_toy_model(seed=4), split, _toy_config(batch_size=4, grad_accum_steps=2, epochs=1))
+        whole = train(
+            _toy_model(seed=4), split, _toy_config(batch_size=8, grad_accum_steps=1), TRAIN_SEED
+        )
+        halves = train(
+            _toy_model(seed=4), split, _toy_config(batch_size=4, grad_accum_steps=2), TRAIN_SEED
+        )
         assert whole.total_steps == halves.total_steps == 1
         for name in whole.best_state:
             assert np.allclose(whole.best_state[name], halves.best_state[name], atol=1e-12)
@@ -140,25 +146,26 @@ class TestLearnability:
             ModelConfig(vocab_size=10, d_model=32, n_heads=2, n_layers=1, d_ff=64, max_seq_len=8),
             seed=1,
         )
-        result = train(model, split, _toy_config(learning_rate=2e-2))
+        result = train(model, split, _toy_config(learning_rate=2e-2), TRAIN_SEED)
         assert result.best_f1 == 1.0
         assert result.epoch_rows[0].f1 == 1.0
 
     def test_cross_entropy_also_learns(self):
         split = _split(seed=2, n=600, rate=0.08)
-        result = train(_toy_model(seed=1), split, _toy_config(loss=LOSS_CROSS_ENTROPY, epochs=3))
+        config = _toy_config(loss=LOSS_CROSS_ENTROPY, epochs=3)
+        result = train(_toy_model(seed=1), split, config, TRAIN_SEED)
         assert result.best_f1 >= 0.9
 
     def test_best_checkpoint_tracks_max_f1(self):
         split = _split(seed=3, n=300, rate=0.1)
-        result = train(_toy_model(seed=1), split, _toy_config(epochs=3))
+        result = train(_toy_model(seed=1), split, _toy_config(epochs=3), TRAIN_SEED)
         best_row = max(result.epoch_rows, key=lambda r: (r.f1, -r.val_loss))
         assert result.best_f1 == best_row.f1
         assert result.best_epoch == best_row.epoch
 
     def test_best_state_reproduces_reported_f1(self):
         split = _split(seed=4, n=300, rate=0.1)
-        result = train(_toy_model(seed=1), split, _toy_config(epochs=2))
+        result = train(_toy_model(seed=1), split, _toy_config(epochs=2), TRAIN_SEED)
         probe = _toy_model(seed=9)
         probe.load_state(result.best_state)
         report, val_loss, scores = evaluate(probe, split.val, LOSS_FOCAL, FocalParams())
@@ -173,21 +180,21 @@ class TestGuards:
         windows = sentinel_pool(0, 10, anomaly_rate=0.5)
         split = DatasetSplit(train=[], val=windows, test=[], seed=0, train_fraction=0.9)
         with pytest.raises(EmptySplit):
-            train(_toy_model(), split, _toy_config())
+            train(_toy_model(), split, _toy_config(), TRAIN_SEED)
 
     def test_single_class_val_split(self):
         windows = sentinel_pool(0, 20, anomaly_rate=0.5)
         val = [w for w in windows if w.label == 0][:4]
         split = DatasetSplit(train=windows, val=val, test=[], seed=0, train_fraction=0.9)
         with pytest.raises(EmptySplit):
-            train(_toy_model(), split, _toy_config())
+            train(_toy_model(), split, _toy_config(), TRAIN_SEED)
 
     def test_repeated_non_finite_losses_diverge(self):
         split = _split(seed=5, n=80, rate=0.2)
         config = _toy_config(learning_rate=1e12, max_grad_norm=1e18, epochs=10)
         with np.errstate(all="ignore"):
             with pytest.raises(Diverged):
-                train(_toy_model(), split, config)
+                train(_toy_model(), split, config, TRAIN_SEED)
 
 
 class TestEvaluate:
@@ -222,7 +229,7 @@ class TestEvaluate:
 
 class TestCsvExports:
     def test_curve_csv(self, tmp_path):
-        result = train(_toy_model(), _split(), _toy_config())
+        result = train(_toy_model(), _split(), _toy_config(), TRAIN_SEED)
         path = tmp_path / "curve.csv"
         write_curve_csv(str(path), result.curve)
         lines = path.read_text().splitlines()
@@ -230,7 +237,7 @@ class TestCsvExports:
         assert len(lines) == len(result.curve) + 1
 
     def test_epochs_csv(self, tmp_path):
-        result = train(_toy_model(), _split(), _toy_config(epochs=2))
+        result = train(_toy_model(), _split(), _toy_config(epochs=2), TRAIN_SEED)
         path = tmp_path / "epochs.csv"
         write_epochs_csv(str(path), result.epoch_rows)
         lines = path.read_text().splitlines()
@@ -238,7 +245,7 @@ class TestCsvExports:
         assert len(lines) == 3
 
     def test_csv_byte_stable(self, tmp_path):
-        result = train(_toy_model(), _split(), _toy_config())
+        result = train(_toy_model(), _split(), _toy_config(), TRAIN_SEED)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_curve_csv(str(p1), result.curve)
         write_curve_csv(str(p2), result.curve)
