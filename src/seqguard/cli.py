@@ -68,6 +68,20 @@ def _keep_freed_heap() -> None:
         pass
 
 
+def _return_freed_heap() -> None:
+    """Hand the heap's free pages back to the kernel; a no-op without glibc.
+
+    Under the 64 MiB trim threshold a finished command's freed memory stays
+    resident, so a second command in the same process would peak on top of
+    it. ``malloc_trim(0)`` when a command ends keeps each command's peak its
+    own; within a command the threshold still holds.
+    """
+    try:
+        ctypes.CDLL(None).malloc_trim(ctypes.c_size_t(0))
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 class _UsageError(Exception):
     pass
 
@@ -135,6 +149,13 @@ def _exit_code_for(cause: BaseException) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     _keep_freed_heap()
+    try:
+        return _run_command(argv)
+    finally:
+        _return_freed_heap()
+
+
+def _run_command(argv: Optional[list[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .drain import DEFAULT_HEADER_PATTERN, check_tree
+from .drain import DEFAULT_HEADER_PATTERN, check_tree, compile_header_pattern
 from .judge import JudgeConfig
 from .model import ModelSettings
 from .sessions import check_window
@@ -34,6 +34,7 @@ class DrainSettings:
 
     def __post_init__(self):
         check_tree(self.depth, self.sim_threshold, self.max_children)
+        compile_header_pattern(self.header_pattern)
 
 
 @dataclass

@@ -91,6 +91,17 @@ class _Node:
         self.templates: list[EventTemplate] = []
 
 
+def compile_header_pattern(pattern: str) -> re.Pattern:
+    """The header regex, which must capture the message as ``content``."""
+    try:
+        compiled = re.compile(pattern)
+    except re.error as exc:
+        raise ValueError(f"header_pattern does not compile: {exc}") from exc
+    if "content" not in compiled.groupindex:
+        raise ValueError("header_pattern needs a (?P<content>...) group")
+    return compiled
+
+
 def check_tree(depth: int, sim_threshold: float, max_children: int) -> None:
     if depth < 3:
         raise ValueError("tree depth must be at least 3")
@@ -201,7 +212,7 @@ class ParseTree:
         template.match_count += 1
 
 
-@dataclass
+@dataclass(slots=True)
 class StructuredLine:
     line_number: int
     event_id: int
@@ -232,7 +243,7 @@ def parse_stream(
     ``block_id_extractor`` runs on the unmasked message body so that ids
     the masking step would wipe out are still captured.
     """
-    pattern = re.compile(header_pattern)
+    pattern = compile_header_pattern(header_pattern)
     lines: list[StructuredLine] = []
     rejects: list[tuple[int, str]] = []
     for line_number, raw in enumerate(stream, start=1):

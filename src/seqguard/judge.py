@@ -81,6 +81,8 @@ class JudgeConfig:
     def __post_init__(self):
         if self.rate_limit <= 0:
             raise ValueError("rate_limit must be positive requests/sec")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive seconds")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.prompt_template is not None and "{events}" not in self.prompt_template:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .optim import AdamW, Diverged, clip_gradients
 from .sessions import PAD_ID
-from .tensor import Tape, Tensor
+from .tensor import ShapeMismatch, Tape, Tensor
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -140,10 +140,11 @@ class ModelParams:
 
 
 def causal_attention(
-    tape: Tape, q: Tensor, k: Tensor, v: Tensor, seq_len: int, n_heads: int
+    tape: Tape, q: Tensor, k: Tensor, v: Tensor, seq_len: int, n_heads: int, query_pos=None
 ) -> Tensor:
-    """Multi-head softmax(QK^T / sqrt(d_head), masked above the diagonal) V per window."""
-    return tape.causal_attention(q, k, v, seq_len, n_heads)
+    """Multi-head softmax(QK^T / sqrt(d_head), masked above the diagonal) V per window;
+    with ``query_pos``, one query row per window at that position."""
+    return tape.causal_attention(q, k, v, seq_len, n_heads, query_pos)
 
 
 def _as_id_matrix(ids) -> np.ndarray:
@@ -161,8 +162,14 @@ def decoder_hidden(
     params: ModelParams,
     ids,
     dropout_rng: Optional[np.random.Generator] = None,
+    readout: Optional[Sequence[int]] = None,
 ) -> Tensor:
-    """Final-layer-norm hidden states, stacked as (batch * seq_len) x d_model."""
+    """Final-layer-norm hidden states, stacked as (batch * seq_len) x d_model.
+
+    Given ``readout`` (one position per window), only those rows come out,
+    batch x d_model: past its keys and values, the last layer runs at the
+    readout rows alone.
+    """
     c = params.config
     ids = _as_id_matrix(ids)
     batch, seq_len = ids.shape
@@ -172,6 +179,12 @@ def decoder_hidden(
         raise SequenceTooLong(f"sequence length {seq_len} exceeds cap {c.max_seq_len}")
     if ids.min() < 0 or ids.max() >= c.vocab_size:
         raise ValueError("token id outside vocabulary")
+    rows = None
+    if readout is not None:
+        query_pos = np.asarray(readout, dtype=np.int64).reshape(-1)
+        if query_pos.shape != (batch,) or query_pos.min() < 0 or query_pos.max() >= seq_len:
+            raise ShapeMismatch(f"readout needs one position in [0, {seq_len}) per window")
+        rows = np.arange(batch) * seq_len + query_pos
 
     p_drop = c.dropout if dropout_rng is not None else 0.0
 
@@ -184,10 +197,14 @@ def decoder_hidden(
 
     for i in range(c.n_layers):
         x = tape.layer_norm(h, params[f"layer{i}.ln1_g"], params[f"layer{i}.ln1_b"])
-        q = tape.add_bias(tape.matmul(x, params[f"layer{i}.wq"]), params[f"layer{i}.bq"])
+        xq, layer_pos = x, None
+        if rows is not None and i == c.n_layers - 1:
+            # Keys and values need every position; the rest, only the readout rows.
+            h, xq, layer_pos = tape.gather_rows(h, rows), tape.gather_rows(x, rows), query_pos
+        q = tape.add_bias(tape.matmul(xq, params[f"layer{i}.wq"]), params[f"layer{i}.bq"])
         k = tape.add_bias(tape.matmul(x, params[f"layer{i}.wk"]), params[f"layer{i}.bk"])
         v = tape.add_bias(tape.matmul(x, params[f"layer{i}.wv"]), params[f"layer{i}.bv"])
-        ctx = causal_attention(tape, q, k, v, seq_len, c.n_heads)
+        ctx = causal_attention(tape, q, k, v, seq_len, c.n_heads, layer_pos)
         attn = tape.add_bias(tape.matmul(ctx, params[f"layer{i}.wo"]), params[f"layer{i}.bo"])
         h = tape.add(h, drop(attn))
 
@@ -198,6 +215,8 @@ def decoder_hidden(
         ffn = tape.add_bias(tape.matmul(inner, params[f"layer{i}.w2"]), params[f"layer{i}.b2"])
         h = tape.add(h, drop(ffn))
 
+    if rows is not None and c.n_layers < 1:
+        h = tape.gather_rows(h, rows)
     return tape.layer_norm(h, params["lnf_g"], params["lnf_b"])
 
 
@@ -218,12 +237,9 @@ def classifier_logits(
 ) -> Tensor:
     """Head logits at each window's last real position; rows align with windows."""
     ids = _as_id_matrix(ids)
-    batch, seq_len = ids.shape
-    if batch == 0:
+    if ids.shape[0] == 0:
         return Tensor(np.zeros((0, 2)))
-    hidden = decoder_hidden(tape, params, ids, dropout_rng)
-    rows = [w * seq_len + int(last_index[w]) for w in range(batch)]
-    readout = tape.gather_rows(hidden, rows)
+    readout = decoder_hidden(tape, params, ids, dropout_rng, readout=last_index)
     return tape.add_bias(tape.matmul(readout, params["head_w"]), params["head_b"])
 
 

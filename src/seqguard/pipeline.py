@@ -20,7 +20,6 @@ import csv
 import hashlib
 import json
 import os
-import re
 import shutil
 import time
 from collections import Counter
@@ -30,6 +29,7 @@ from typing import Callable, Optional
 from .config import ExperimentConfig, derive_seed, dump_json_file, load_json_file
 from .drain import (
     ParseTree,
+    compile_header_pattern,
     export_rejects,
     export_structured,
     export_templates,
@@ -197,7 +197,7 @@ def stage_sessionize(config: ExperimentConfig) -> dict:
 
 def _load_line_contents(logs_path: str, header_pattern: str) -> dict[int, str]:
     """Pre-masking message text per accepted line number, for raw-token inputs."""
-    pattern = re.compile(header_pattern)
+    pattern = compile_header_pattern(header_pattern)
     contents: dict[int, str] = {}
     with open(logs_path, "r", encoding="utf-8") as handle:
         for line_number, raw in enumerate(handle, start=1):

@@ -231,45 +231,57 @@ class Tape:
         return self._emit(out, (a,), backward)
 
     def causal_attention(
-        self, q: Tensor, k: Tensor, v: Tensor, seq_len: int, n_heads: int
+        self, q: Tensor, k: Tensor, v: Tensor, seq_len: int, n_heads: int, query_pos=None
     ) -> Tensor:
         """Multi-head softmax(q k^T / sqrt(d_head), causal) v over stacked windows.
 
-        q, k and v are (batch * seq_len) x d_model, window-major; each window
+        k and v are (batch * seq_len) x d_model, window-major; each window
         attends only within itself, each head to its own d_model / n_heads
         columns, and position t sees positions <= t (masked scores come out
-        exactly zero). Heads merge back into columns in head order.
+        exactly zero). Heads merge back into columns in head order. q has
+        the same rows as k, or, given ``query_pos`` (one position per
+        window), one row per window: row b is the query at position
+        ``query_pos[b]`` of window b.
         """
-        if not q.shape == k.shape == v.shape:
-            raise ShapeMismatch(f"attention q/k/v shapes {q.shape}, {k.shape}, {v.shape}")
-        if seq_len < 1 or n_heads < 1 or q.rows % seq_len or q.cols % n_heads:
+        if seq_len < 1 or n_heads < 1 or k.rows % seq_len or k.cols % n_heads:
             raise ShapeMismatch(
-                f"{q.shape} does not split into windows of {seq_len} and {n_heads} heads"
+                f"{k.shape} does not split into windows of {seq_len} and {n_heads} heads"
             )
-        batch, d_model = q.rows // seq_len, q.cols
+        batch, d_model = k.rows // seq_len, k.cols
         d_head = d_model // n_heads
+        keys = np.arange(seq_len)
+        if query_pos is None:
+            n_q = seq_len
+            future = keys[None, :] > keys[:, None]
+        else:
+            pos = np.asarray(query_pos, dtype=np.int64)
+            if pos.shape != (batch,) or np.any((pos < 0) | (pos >= seq_len)):
+                raise ShapeMismatch(f"query_pos needs one position in [0, {seq_len}) per window")
+            n_q = 1
+            future = (keys[None, :] > pos[:, None])[:, None, None, :]
+        if q.shape != (batch * n_q, d_model) or v.shape != k.shape:
+            raise ShapeMismatch(f"attention q/k/v shapes {q.shape}, {k.shape}, {v.shape}")
 
-        def split(x):  # (B*T, H*dh) -> (B, H, T, dh)
-            return x.reshape(batch, seq_len, n_heads, d_head).transpose(0, 2, 1, 3)
+        def split(x, t):  # (B*t, H*dh) -> (B, H, t, dh)
+            return x.reshape(batch, t, n_heads, d_head).transpose(0, 2, 1, 3)
 
-        def merge(x):  # (B, H, T, dh) -> (B*T, H*dh)
-            return x.transpose(0, 2, 1, 3).reshape(batch * seq_len, d_model)
+        def merge(x):  # (B, H, t, dh) -> (B*t, H*dh)
+            return x.transpose(0, 2, 1, 3).reshape(-1, d_model)
 
         # Contiguous per-head operands (and k pre-transposed) give every
         # matmul the same layout as one window and head at a time, so the
         # results are bitwise those of unbatched attention.
-        qh = np.ascontiguousarray(split(q.data))
-        kt = np.ascontiguousarray(split(k.data).swapaxes(-1, -2))
-        vh = np.ascontiguousarray(split(v.data))
+        qh = np.ascontiguousarray(split(q.data, n_q))
+        kt = np.ascontiguousarray(split(k.data, seq_len).swapaxes(-1, -2))
+        vh = np.ascontiguousarray(split(v.data, seq_len))
         c = 1.0 / math.sqrt(d_head)
-        future = np.triu(np.ones((seq_len, seq_len), dtype=bool), k=1)
         z = np.where(future, -np.inf, (qh @ kt) * c)
         e = np.exp(z - np.max(z, axis=-1, keepdims=True))
         w = e / e.sum(axis=-1, keepdims=True)
         out = Tensor(merge(w @ vh))
 
         def backward(g):
-            gh = np.ascontiguousarray(split(g))
+            gh = np.ascontiguousarray(split(g, n_q))
             gw = gh @ vh.swapaxes(-1, -2)
             gz = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * c
             gq = merge(gz @ kt.swapaxes(-1, -2))

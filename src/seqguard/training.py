@@ -60,6 +60,10 @@ class TrainConfig:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if self.weight_decay < 0 or self.eps <= 0:
             raise ValueError("weight_decay must be >= 0 and eps > 0")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must be in [0, 1]")
+        if self.pretrain_steps < 0:
+            raise ValueError("pretrain_steps must be >= 0")
         if self.loss not in (LOSS_FOCAL, LOSS_CROSS_ENTROPY):
             raise ValueError(f"unknown loss kind {self.loss!r}")
         self.focal  # raises on a bad alpha or gamma

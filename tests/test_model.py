@@ -29,7 +29,8 @@ from seqguard.model import (
 )
 from seqguard.optim import Diverged
 from seqguard.sessions import PAD_ID, LabeledWindow
-from seqguard.tensor import Tape, Tensor, finite_difference_check
+from seqguard.losses import FocalParams, classification_loss
+from seqguard.tensor import ShapeMismatch, Tape, Tensor, finite_difference_check
 
 from conftest import tiny_config, tiny_model
 
@@ -162,6 +163,10 @@ class TestForward:
         assert logits.shape == (0, 2) and p.shape == (0,)
         # An empty id list is an empty batch too.
         assert classifier_logits(tape, tiny_model(), [], []).shape == (0, 2)
+        # So is one on a recording tape, through the readout path with dropout.
+        params = tiny_model(n_layers=2, dropout=0.3)
+        empty = np.zeros((0, 4), dtype=np.int64)
+        assert classifier_logits(Tape(), params, empty, [], np.random.default_rng(0)).shape == (0, 2)
         for fn in (position_logits, forward_lm):
             with pytest.raises(ValueError, match="empty batch"):
                 fn(tiny_model(), [])
@@ -287,6 +292,64 @@ class TestClassifierGradient:
         for tensor in params.parameters():
             worst = max(worst, finite_difference_check(f, tensor))
         assert worst < 1e-4
+
+
+class TestReadoutPath:
+    """classifier_logits runs the last layer only at the readout rows; it must
+    agree with running every row and gathering the readout rows afterwards."""
+
+    IDS = np.array([[3, 4, 5, 6, 7], [8, 9, 10, 11, 3], [4, 4, 6, 2, 0]])
+    LABELS = [0, 1, 1]
+
+    def _logits_and_grads(self, params, last, full_path):
+        for tensor in params.parameters():
+            tensor.grad = None
+        tape = Tape()
+        if full_path:
+            hidden = decoder_hidden(tape, params, self.IDS)
+            rows = np.arange(len(self.IDS)) * self.IDS.shape[1] + np.asarray(last)
+            readout = tape.gather_rows(hidden, rows)
+            logits = tape.add_bias(tape.matmul(readout, params["head_w"]), params["head_b"])
+        else:
+            logits = classifier_logits(tape, params, self.IDS, last)
+        tape.backward(classification_loss(tape, logits, self.LABELS, "focal", FocalParams()))
+        grads = {
+            name: np.zeros_like(t.data) if t.grad is None else t.grad
+            for name, t in zip(params.names(), params.parameters())
+        }
+        return logits.data, grads
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    @pytest.mark.parametrize("last", [[4, 4, 4], [0, 3, 2]], ids=["at_end", "before_end"])
+    def test_matches_full_path(self, n_layers, last):
+        params = tiny_model(seed=11, n_layers=n_layers)
+        full_logits, full_grads = self._logits_and_grads(params, last, full_path=True)
+        logits, grads = self._logits_and_grads(params, last, full_path=False)
+        assert np.allclose(logits, full_logits, rtol=0.0, atol=1e-14)
+        for name, full in full_grads.items():
+            if name.endswith(".bk"):
+                continue  # softmax ignores a shift shared by all keys: true gradient 0
+            scale = np.abs(full).max()
+            assert scale > 0.0, name
+            assert np.abs(grads[name] - full).max() <= 1e-14 * scale, name
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_dropout_keeps_loss_and_gradients_finite(self, n_layers):
+        params = tiny_model(seed=3, n_layers=n_layers, dropout=0.3)
+        tape = Tape()
+        logits = classifier_logits(
+            tape, params, self.IDS, [4, 3, 3], dropout_rng=np.random.default_rng(0)
+        )
+        loss = classification_loss(tape, logits, self.LABELS, "focal", FocalParams())
+        assert logits.shape == (3, 2) and math.isfinite(loss.item())
+        tape.backward(loss)
+        for name, tensor in zip(params.names(), params.parameters()):
+            assert tensor.grad is not None and np.all(np.isfinite(tensor.grad)), name
+
+    def test_readout_out_of_window_rejected(self):
+        for last in ([4, 4, 5], [4, -1, 4], [4, 4]):
+            with pytest.raises(ShapeMismatch):
+                classifier_logits(Tape(), tiny_model(), self.IDS, last)
 
 
 class TestPretrain:

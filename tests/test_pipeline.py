@@ -592,6 +592,11 @@ class TestCli:
             "judge.prompt_template=no slot",
             "window.stride=0",
             "drain.depth=1",
+            "drain.header_pattern=[",
+            "drain.header_pattern=^(?P<x>.*)$",  # no content group
+            "train.threshold=2",
+            "judge.timeout=-1",
+            "train.pretrain_steps=-1",
         ],
     )
     def test_invalid_setting_fails_before_any_stage(self, tmp_path, capsys, override):
@@ -635,26 +640,45 @@ class TestCli:
         assert _exit_code_for(OSError("gone")) == 2
         assert _exit_code_for(KeyError("missing")) == 2
 
-    @pytest.mark.parametrize("libc", ["no_library", "no_mallopt"])
+    @pytest.mark.parametrize("libc", ["no_library", "no_mallopt", "no_malloc_trim"])
     def test_heap_policy_is_optional(self, tmp_path, capsys, monkeypatch, libc):
+        calls = []
+
+        class MalloptOnly:
+            def mallopt(self, *args):
+                calls.append(args)
+
         def cdll(name):
             if libc == "no_library":
                 raise OSError("no C library")
-            return object()
+            return MalloptOnly() if libc == "no_malloc_trim" else object()
 
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         cfg = self._config_file(tmp_path, n_sessions=60, n_anomalous=4)
         assert main(["parse", "--config", cfg]) == 0
         assert capsys.readouterr().out.startswith("ok parse:")
+        assert len(calls) == (2 if libc == "no_malloc_trim" else 0)
 
-    def test_main_sets_both_heap_thresholds(self, monkeypatch, capsys):
+    def test_main_sets_both_heap_thresholds(self, tmp_path, monkeypatch, capsys):
         calls = []
-        libc = type("Libc", (), {"mallopt": staticmethod(lambda *args: calls.append(args))})
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc())
-        assert main([]) == 1
+
+        class Libc:
+            def mallopt(self, *args):
+                calls.append(("mallopt",) + args)
+
+            def malloc_trim(self, pad):
+                calls.append(("malloc_trim", pad.value))
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        cfg = self._config_file(tmp_path, n_sessions=60, n_anomalous=4)
+        # M_TRIM_THRESHOLD 64 MiB and M_MMAP_THRESHOLD 16 MiB when a command
+        # starts; the freed heap goes back when it returns, whatever its exit.
+        policy = [("mallopt", -1, 64 << 20), ("mallopt", -3, 16 << 20), ("malloc_trim", 0)]
+        for argv, code in (([], 1), (["parse", "--config", cfg], 0)):
+            calls.clear()
+            assert main(argv) == code
+            assert calls == policy
         capsys.readouterr()
-        # M_TRIM_THRESHOLD 64 MiB, M_MMAP_THRESHOLD 16 MiB.
-        assert calls == [(-1, 64 << 20), (-3, 16 << 20)]
 
     def test_import_sets_no_heap_policy(self):
         code = (

@@ -307,6 +307,62 @@ class TestGradientChecks:
         assert finite_difference_check(f, x) < TOL
 
 
+class TestReadoutAttention:
+    """causal_attention with query_pos: one query row per window, at that
+    window's position; keys and values keep every row."""
+
+    SEQ_LEN, BATCH, D = 4, 3, 4
+    POSITIONS = {"at_end": [3, 3, 3], "before_end": [0, 1, 2], "mixed": [2, 3, 0]}
+
+    def _operands(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = {"q": self.BATCH, "k": self.BATCH * self.SEQ_LEN, "v": self.BATCH * self.SEQ_LEN}
+        return {name: rng.normal(size=(n, self.D)) for name, n in rows.items()}
+
+    @pytest.mark.parametrize("wrt", ["q", "k", "v"])
+    @pytest.mark.parametrize("positions", sorted(POSITIONS))
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_gradient(self, wrt, positions, n_heads):
+        data = self._operands(seed=n_heads)
+        x = Tensor(data[wrt], requires_grad=True)
+        ops = {name: x if name == wrt else Tensor(arr) for name, arr in data.items()}
+        # A weighted sum: each head's softmax rows sum to one.
+        w = Tensor(np.random.default_rng(7).normal(size=(self.BATCH, self.D)))
+        query_pos = self.POSITIONS[positions]
+
+        def f(tape):
+            out = tape.causal_attention(
+                ops["q"], ops["k"], ops["v"], self.SEQ_LEN, n_heads, query_pos
+            )
+            return tape.mean_all(tape.hadamard(out, w))
+
+        assert finite_difference_check(f, x) < TOL
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_rows_match_full_attention(self, n_heads):
+        data = self._operands(seed=3)
+        query_pos = np.array(self.POSITIONS["mixed"])
+        rows = np.arange(self.BATCH) * self.SEQ_LEN + query_pos
+        q_full = np.random.default_rng(4).normal(size=(self.BATCH * self.SEQ_LEN, self.D))
+        q_full[rows] = data["q"]
+        tape = Tape(record=False)
+        k, v = Tensor(data["k"]), Tensor(data["v"])
+        full = tape.causal_attention(Tensor(q_full), k, v, self.SEQ_LEN, n_heads)
+        out = tape.causal_attention(Tensor(data["q"]), k, v, self.SEQ_LEN, n_heads, query_pos)
+        assert out.shape == (self.BATCH, self.D)
+        assert np.allclose(out.data, full.data[rows], rtol=0.0, atol=1e-15)
+
+    def test_query_pos_shape_mismatch(self):
+        data = self._operands(seed=0)
+        q, k, v = (Tensor(data[name]) for name in ("q", "k", "v"))
+        tape = Tape()
+        for bad in ([3, 3], [3, 3, 4], [0, -1, 2]):
+            with pytest.raises(ShapeMismatch):
+                tape.causal_attention(q, k, v, self.SEQ_LEN, 2, bad)
+        with pytest.raises(ShapeMismatch):  # one query row per window, not per position
+            tape.causal_attention(k, k, v, self.SEQ_LEN, 2, [3, 3, 3])
+
+
 def test_every_primitive_has_a_criterion_03_case():
     # A case counts for an op when it is named after it: "gelu", "matmul_left".
     cases = _fd_op_cases()
