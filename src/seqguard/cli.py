@@ -15,31 +15,33 @@ import json
 import sys
 from typing import Optional
 
-from .config import apply_overrides, config_from_dict, load_json_file
+from .artifacts import load_json_file
+from .config import ARMS, apply_overrides, config_from_dict
 from .pipeline import STAGES, StageError, run_ablation, run_pipeline, run_stage
 from .tensor import ShapeMismatch
 
 _STAGE_COMMANDS = [s for s in STAGES]
 _COMMANDS = ["run", "ablate"] + _STAGE_COMMANDS
 
-# Named flag -> dotted config key. Anything else is reachable via --set.
-_FLAG_KEYS = {
-    "logs": "logs",
-    "labels": "labels",
-    "out": "out_dir",
-    "seed": "seed",
-    "arm": "arm",
-    "sample_size": "sample_size",
-    "depth": "drain.depth",
-    "sim_threshold": "drain.sim_threshold",
-    "max_children": "drain.max_children",
-    "header_pattern": "drain.header_pattern",
-    "window_length": "window.window_length",
-    "stride": "window.stride",
-    "judge_model": "judge.model",
-    "cache_dir": "judge.cache_dir",
-    "fixtures": "judge.fixtures",
-    "rate_limit": "judge.rate_limit",
+# Named flags: dest -> (dotted config key, value type, help); the flag is
+# the dest with dashes. Any other key is reachable through --set.
+_FLAGS = {
+    "logs": ("logs", str, "raw log file"),
+    "labels": ("labels", str, "block label CSV"),
+    "out": ("out_dir", str, "output directory"),
+    "seed": ("seed", int, "root seed"),
+    "arm": ("arm", str, "ablation arm"),
+    "sample_size": ("sample_size", int, "windows to sample (0 keeps the pool)"),
+    "depth": ("drain.depth", int, "parse tree depth"),
+    "sim_threshold": ("drain.sim_threshold", float, "template similarity threshold"),
+    "max_children": ("drain.max_children", int, "parse tree fan-out cap"),
+    "header_pattern": ("drain.header_pattern", str, "log header regex"),
+    "window_length": ("window.window_length", int, "events per window"),
+    "stride": ("window.stride", int, "events between window starts"),
+    "judge_model": ("judge.model", str, "judge model name"),
+    "cache_dir": ("judge.cache_dir", str, "judge response cache directory"),
+    "fixtures": ("judge.fixtures", str, "judge fixture directory (no network)"),
+    "rate_limit": ("judge.rate_limit", float, "judge requests per second"),
 }
 
 
@@ -97,22 +99,9 @@ def _build_parser() -> _Parser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--logs", help="raw log file")
-        p.add_argument("--labels", help="block label CSV")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="root seed")
-        p.add_argument("--arm", choices=["A", "B", "C"], help="ablation arm")
-        p.add_argument("--sample-size", type=int, dest="sample_size")
-        p.add_argument("--depth", type=int, help="parse tree depth")
-        p.add_argument("--sim-threshold", type=float, dest="sim_threshold")
-        p.add_argument("--max-children", type=int, dest="max_children")
-        p.add_argument("--header-pattern", dest="header_pattern")
-        p.add_argument("--window-length", type=int, dest="window_length")
-        p.add_argument("--stride", type=int)
-        p.add_argument("--judge-model", dest="judge_model")
-        p.add_argument("--cache-dir", dest="cache_dir")
-        p.add_argument("--fixtures", help="judge fixture directory (no network)")
-        p.add_argument("--rate-limit", type=float, dest="rate_limit")
+        for dest, (_, kind, text) in _FLAGS.items():
+            choices = ARMS if dest == "arm" else None
+            p.add_argument("--" + dest.replace("_", "-"), type=kind, choices=choices, help=text)
         p.add_argument(
             "--set",
             action="append",
@@ -127,8 +116,8 @@ def _build_parser() -> _Parser:
 def _resolve_config(args: argparse.Namespace):
     payload = load_json_file(args.config) if args.config else {}
     overrides = []
-    for flag, dotted in _FLAG_KEYS.items():
-        value = getattr(args, flag, None)
+    for dest, (dotted, _, _) in _FLAGS.items():
+        value = getattr(args, dest)
         if value is not None:
             overrides.append(f"{dotted}={json.dumps(value)}")
     overrides.extend(args.overrides)

@@ -172,21 +172,3 @@ def apply_overrides(payload: dict, overrides: list[str]) -> dict:
                 raise ValueError(f"override {dotted!r} descends into a non-object")
         node[keys[-1]] = _coerce(raw)
     return result
-
-
-def dump_json_file(path: str, payload: dict) -> None:
-    """Canonical JSON emission: sorted keys, two-space indent, trailing newline.
-
-    Re-emitting a loaded document reproduces it byte for byte.
-    """
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
-def load_json_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc

@@ -10,10 +10,11 @@ the next dense event ID.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO
+
+from .artifacts import read_table, write_table_to
 
 WILDCARD = "<*>"
 
@@ -278,17 +279,14 @@ def parse_file(
 
 def export_templates(tree: ParseTree, out: TextIO) -> None:
     """Write ``event_id,template_text,match_count`` rows sorted by event id."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["event_id", "template_text", "match_count"])
-    for template in sorted(tree.templates, key=lambda t: t.event_id):
-        writer.writerow([template.event_id, template.text, template.match_count])
+    templates = sorted(tree.templates, key=lambda t: t.event_id)
+    rows = ([t.event_id, t.text, t.match_count] for t in templates)
+    write_table_to(out, ["event_id", "template_text", "match_count"], rows)
 
 
 def export_structured(lines: list[StructuredLine], out: TextIO) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["line_number", "event_id", "block_id"])
-    for row in lines:
-        writer.writerow([row.line_number, row.event_id, row.block_id])
+    rows = ([row.line_number, row.event_id, row.block_id] for row in lines)
+    write_table_to(out, ["line_number", "event_id", "block_id"], rows)
 
 
 def export_rejects(rejects: list[tuple[int, str]], out: TextIO) -> None:
@@ -297,36 +295,28 @@ def export_rejects(rejects: list[tuple[int, str]], out: TextIO) -> None:
 
 
 def load_templates(path: str) -> list[EventTemplate]:
-    templates = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                templates.append(
-                    EventTemplate(
-                        event_id=int(row["event_id"]),
-                        tokens=row["template_text"].split(),
-                        match_count=int(row["match_count"]),
-                    )
-                )
+        return [
+            EventTemplate(
+                event_id=int(row["event_id"]),
+                tokens=row["template_text"].split(),
+                match_count=int(row["match_count"]),
+            )
+            for row in read_table(path)
+        ]
     except OSError as exc:
         raise OSError(f"cannot read template table {path}: {exc}") from exc
-    return templates
 
 
 def load_structured(path: str) -> list[StructuredLine]:
-    lines = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                lines.append(
-                    StructuredLine(
-                        line_number=int(row["line_number"]),
-                        event_id=int(row["event_id"]),
-                        block_id=row["block_id"],
-                    )
-                )
+        return [
+            StructuredLine(
+                line_number=int(row["line_number"]),
+                event_id=int(row["event_id"]),
+                block_id=row["block_id"],
+            )
+            for row in read_table(path)
+        ]
     except OSError as exc:
         raise OSError(f"cannot read structured table {path}: {exc}") from exc
-    return lines

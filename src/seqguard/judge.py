@@ -9,16 +9,14 @@ and remote rows share one code path.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import os
 import re
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from .artifacts import dump_json_file, load_json_file, read_records, write_records, write_table
 from .metrics import confusion, scalar_metrics
 from .sessions import NUM_SPECIALS, PAD_ID, UNK_ID, LabeledWindow
 
@@ -162,20 +160,6 @@ def _extract_content(body: dict) -> str:
         raise ValueError(f"response body missing choices[0].message.content: {exc}")
 
 
-def _atomic_write_json(path: str, payload: dict) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _default_transport(config: JudgeConfig, payload: dict, api_key: str) -> dict:
     import requests
 
@@ -244,8 +228,7 @@ def classify_remote(
                     f"fixture mode: no fixture {os.path.basename(fixture_path)} "
                     f"for window {window_id}"
                 )
-            with open(fixture_path, "r", encoding="utf-8") as handle:
-                body = json.load(handle)
+            body = load_json_file(fixture_path)
             source = "fixture"
 
         if body is None:
@@ -253,8 +236,7 @@ def classify_remote(
                 config.cache_dir, f"{cache_key(config.model, prompt)}.json"
             )
             if os.path.exists(cache_path):
-                with open(cache_path, "r", encoding="utf-8") as handle:
-                    body = json.load(handle)["response"]
+                body = load_json_file(cache_path)["response"]
                 source = "cache"
 
         if body is None:
@@ -270,14 +252,8 @@ def classify_remote(
             }
             body = _call_with_retries(config, payload, transport, api_key, pacer, sleep)
             os.makedirs(config.cache_dir, exist_ok=True)
-            _atomic_write_json(
-                cache_path,
-                {
-                    "model": config.model,
-                    "prompt_sha256": prompt_hash(prompt),
-                    "response": body,
-                },
-            )
+            record = {"model": config.model, "prompt_sha256": prompt_hash(prompt), "response": body}
+            dump_json_file(cache_path, record, atomic=True)
             source = "live"
 
         content = _extract_content(body)
@@ -387,47 +363,18 @@ def compare(
 
 
 def write_comparison_csv(path: str, rows: Sequence[ComparisonRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["model", "accuracy", "precision", "recall", "f1", "unparseable"])
-        for r in rows:
-            writer.writerow(
-                [r.model, str(r.accuracy), str(r.precision), str(r.recall), str(r.f1), r.unparseable]
-            )
+    write_table(path, ["model", "accuracy", "precision", "recall", "f1", "unparseable"], (
+        [r.model, str(r.accuracy), str(r.precision), str(r.recall), str(r.f1), r.unparseable]
+        for r in rows
+    ))
 
 
 def write_verdicts_jsonl(path: str, verdicts: Sequence[Verdict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        for v in verdicts:
-            handle.write(
-                json.dumps(
-                    {
-                        "ambiguous": v.ambiguous,
-                        "label": v.label,
-                        "raw_response": v.raw_response,
-                        "source": v.source,
-                        "window_id": v.window_id,
-                    },
-                    sort_keys=True,
-                )
-            )
-            handle.write("\n")
+    write_records(path, (
+        {"ambiguous": v.ambiguous, "label": v.label, "raw_response": v.raw_response,
+         "source": v.source, "window_id": v.window_id} for v in verdicts
+    ))
 
 
 def read_verdicts_jsonl(path: str) -> list[Verdict]:
-    verdicts = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            verdicts.append(
-                Verdict(
-                    window_id=obj["window_id"],
-                    label=obj["label"],
-                    raw_response=obj["raw_response"],
-                    source=obj["source"],
-                    ambiguous=obj.get("ambiguous", False),
-                )
-            )
-    return verdicts
+    return [Verdict(**obj) for obj in read_records(path)]

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .artifacts import write_table
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -17,6 +18,10 @@ class LengthMismatch(ValueError):
 
 class OneClassOnly(ValueError):
     """AUC is undefined without at least one positive and one negative."""
+
+
+class NonFiniteScore(ValueError):
+    """A score is NaN or infinite, so the model that gave it has diverged."""
 
 
 @dataclass(frozen=True)
@@ -58,33 +63,34 @@ class MetricsReport:
         }
 
 
-def _check_pairs(scores: Sequence[float], labels: Sequence[int]) -> None:
+def _check_pairs(scores: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as float64 and labels as int64. A non-finite score raises
+    NonFiniteScore, so a diverged model cannot report a number."""
     if len(scores) != len(labels):
         raise LengthMismatch(f"{len(scores)} scores vs {len(labels)} labels")
-    if not scores:
+    if not len(scores):
         raise LengthMismatch("empty score list")
-    for y in labels:
-        if y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {y!r}")
+    y = np.asarray(labels)
+    bad = ~np.isin(y, (0, 1))
+    if bad.any():
+        raise ValueError(f"label must be 0 or 1, got {y[bad].tolist()[0]!r}")
+    s = np.asarray(scores, dtype=np.float64)
+    finite = np.isfinite(s)
+    if not finite.all():
+        raise NonFiniteScore(f"{int((~finite).sum())} of {s.size} scores are not finite")
+    return s, y.astype(np.int64)
 
 
 def confusion(
     scores: Sequence[float], labels: Sequence[int], threshold: float = DEFAULT_THRESHOLD
 ) -> ConfusionCounts:
     """Tally counts predicting anomalous exactly when score >= threshold."""
-    _check_pairs(scores, labels)
-    tp = fp = tn = fn = 0
-    for s, y in zip(scores, labels):
-        pred = 1 if s >= threshold else 0
-        if pred == 1 and y == 1:
-            tp += 1
-        elif pred == 1 and y == 0:
-            fp += 1
-        elif pred == 0 and y == 0:
-            tn += 1
-        else:
-            fn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    s, y = _check_pairs(scores, labels)
+    pred = s >= threshold
+    positives = int(y.sum())
+    tp = int(np.count_nonzero(pred & (y == 1)))
+    fp = int(np.count_nonzero(pred)) - tp
+    return ConfusionCounts(tp=tp, fp=fp, tn=y.size - positives - fp, fn=positives - tp)
 
 
 def scalar_metrics(c: ConfusionCounts) -> dict[str, float]:
@@ -106,28 +112,32 @@ def scalar_metrics(c: ConfusionCounts) -> dict[str, float]:
     return {"accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1}
 
 
+def _ranked(
+    scores: Sequence[float], labels: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct score, high to low, with the cumulative TP and FP counts
+    when it is the threshold; one stable descending sort."""
+    s, y = _check_pairs(scores, labels)
+    order = np.argsort(-s, kind="stable")
+    s, y = s[order], y[order]
+    # The counts at the last index of each run of equal scores.
+    last = np.append(s[1:] != s[:-1], True)
+    return s[last], np.cumsum(y)[last], np.cumsum(1 - y)[last]
+
+
 def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Mann-Whitney AUC via average ranks; ties between classes credit 0.5."""
-    _check_pairs(scores, labels)
-    y = np.asarray(labels, dtype=np.int64)
-    s = np.asarray(scores, dtype=np.float64)
-    n_pos = int(y.sum())
-    n_neg = int(y.size - n_pos)
+    """Mann-Whitney AUC; ties between classes credit 0.5.
+
+    The ROC trapezoids sum to 2U in integers, so the result is the exact
+    U / (P * N) rounded once, as the midrank formula gives it.
+    """
+    _, tp, fp = _ranked(scores, labels)
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise OneClassOnly(f"need both classes, got {n_pos} positives / {n_neg} negatives")
-
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        # Midrank over the tie group; ranks are 1-based.
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    rank_sum_pos = float(ranks[y == 1].sum())
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    tp, fp = np.append(0, tp), np.append(0, fp)
+    twice_u = int(np.sum(np.diff(fp) * (tp[1:] + tp[:-1])))
+    return twice_u / (2 * n_pos * n_neg)
 
 
 def full_report(
@@ -158,30 +168,17 @@ def roc_curve(
     The leading +inf threshold pins the (0, 0) corner; the lowest score
     yields the all-positive corner (1, 1) when every score is classified in.
     """
-    _check_pairs(scores, labels)
-    y = np.asarray(labels, dtype=np.int64)
-    n_pos = int(y.sum())
-    n_neg = int(y.size - n_pos)
-    # One stable descending sort; the counts at the last index of each run
-    # of equal scores are the confusion counts at that score as threshold.
-    s = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-s, kind="stable")
-    s, y = s[order], y[order]
-    last = np.append(s[1:] != s[:-1], True)
-    tp = np.cumsum(y)[last].tolist()
-    fp = np.cumsum(1 - y)[last].tolist()
+    thresholds, tp, fp = _ranked(scores, labels)
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
     rows = [(float("inf"), 0.0, 0.0)]
-    for t, f, p in zip(s[last].tolist(), fp, tp):
+    for t, f, p in zip(thresholds.tolist(), fp.tolist(), tp.tolist()):
         rows.append((t, f / n_neg if n_neg > 0 else 0.0, p / n_pos if n_pos > 0 else 0.0))
     return rows
 
 
 def write_roc_csv(path: str, rows: Sequence[tuple[float, float, float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for t, fpr, tpr in rows:
-            writer.writerow([str(t), str(fpr), str(tpr)])
+    rows_out = ([str(t), str(f), str(p)] for t, f, p in rows)
+    write_table(path, ["threshold", "fpr", "tpr"], rows_out)
 
 
 def format_confusion(c: ConfusionCounts) -> str:

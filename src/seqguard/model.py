@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .artifacts import dump_json_file, load_json_file
 from .optim import AdamW, Diverged, clip_gradients
 from .sessions import PAD_ID
 from .tensor import ShapeMismatch, Tape, Tensor
@@ -50,6 +50,10 @@ class ModelSettings:
     def __post_init__(self):
         if self.n_heads < 1:
             raise ValueError("n_heads must be >= 1")
+        if self.n_layers < 1 or self.d_ff < 1:
+            raise ValueError("n_layers and d_ff must be >= 1")
+        if self.d_model < 2:
+            raise ValueError("d_model must be >= 2 (layer norm needs two features)")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -215,8 +219,6 @@ def decoder_hidden(
         ffn = tape.add_bias(tape.matmul(inner, params[f"layer{i}.w2"]), params[f"layer{i}.b2"])
         h = tape.add(h, drop(ffn))
 
-    if rows is not None and c.n_layers < 1:
-        h = tape.gather_rows(h, rows)
     return tape.layer_norm(h, params["lnf_g"], params["lnf_b"])
 
 
@@ -395,17 +397,11 @@ def save_checkpoint(
             for name, t in zip(params.names(), params.parameters())
         },
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(blob, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+    dump_json_file(path, blob, compact=True)
 
 
 def load_checkpoint(path: str, expected_vocab_hash: Optional[str] = None) -> tuple[ModelParams, dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            blob = json.load(handle)
-    except OSError as exc:
-        raise OSError(f"cannot read checkpoint {path}: {exc}") from exc
+    blob = load_json_file(path)
     if blob.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format in {path}")
     if expected_vocab_hash is not None and blob["vocab_hash"] != expected_vocab_hash:

@@ -16,7 +16,6 @@ ablation arms share their upstream stages the same way.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -26,7 +25,15 @@ from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
-from .config import ExperimentConfig, derive_seed, dump_json_file, load_json_file
+from .artifacts import (
+    dump_json_file,
+    load_json_file,
+    read_records,
+    read_table,
+    write_records,
+    write_table,
+)
+from .config import ExperimentConfig, derive_seed
 from .drain import (
     ParseTree,
     compile_header_pattern,
@@ -126,31 +133,6 @@ def artifact_paths(out_dir: str) -> dict[str, str]:
     return {key: os.path.join(out_dir, name) for key, name in names.items()}
 
 
-def _read_sessions_jsonl(path: str) -> list[Session]:
-    sessions = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                obj = json.loads(line)
-                sessions.append(
-                    Session(
-                        session_id=obj["session_id"],
-                        event_ids=list(obj["event_ids"]),
-                        label=int(obj["label"]),
-                        line_numbers=list(obj["line_numbers"]),
-                    )
-                )
-    return sessions
-
-
-def _write_sessions_jsonl(path: str, sessions: list[Session]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for s in sessions:
-            record = {"event_ids": s.event_ids, "label": s.label,
-                      "line_numbers": s.line_numbers, "session_id": s.session_id}
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 def stage_parse(config: ExperimentConfig) -> dict:
     paths = artifact_paths(config.out_dir)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -185,7 +167,10 @@ def stage_sessionize(config: ExperimentConfig) -> dict:
     rows = load_structured(paths["structured"])
     table = load_label_table(config.labels)
     sessions, stats = build_sessions(rows, table, strict=False)
-    _write_sessions_jsonl(paths["sessions"], sessions)
+    write_records(paths["sessions"], (
+        {"event_ids": s.event_ids, "label": s.label, "line_numbers": s.line_numbers,
+         "session_id": s.session_id} for s in sessions
+    ))
     payload = {
         "sessions": len(sessions),
         "rows_without_block": stats.rows_without_block,
@@ -281,7 +266,7 @@ def _rebuild_raw_windows(
 
 def stage_dataset(config: ExperimentConfig) -> dict:
     paths = artifact_paths(config.out_dir)
-    sessions = _read_sessions_jsonl(paths["sessions"])
+    sessions = [Session(**obj) for obj in read_records(paths["sessions"])]
     window_length = config.window.window_length
     stride = config.window.stride
 
@@ -363,11 +348,9 @@ def stage_train(config: ExperimentConfig) -> dict:
     )
     write_curve_csv(paths["curve"], result.curve)
     write_epochs_csv(paths["epochs"], result.epoch_rows)
-    with open(paths["scores"], "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["window_id", "score", "label"])
-        for w, s in zip(val_windows, result.best_scores):
-            writer.writerow([w.window_id, str(float(s)), w.label])
+    write_table(paths["scores"], ["window_id", "score", "label"], (
+        [w.window_id, str(float(s)), w.label] for w, s in zip(val_windows, result.best_scores)
+    ))
     summary = {
         "best_epoch": result.best_epoch,
         "best_f1": result.best_f1,
@@ -383,8 +366,7 @@ def stage_train(config: ExperimentConfig) -> dict:
 
 def _read_scores(path: str, windows: list[LabeledWindow]) -> list[float]:
     """The local model's score of each window in ``windows``, in order."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        by_id = {row["window_id"]: float(row["score"]) for row in csv.DictReader(handle)}
+    by_id = {row["window_id"]: float(row["score"]) for row in read_table(path)}
     return [by_id[w.window_id] for w in windows]
 
 
@@ -690,11 +672,8 @@ def run_ablation(config: ExperimentConfig, judge_transport=None) -> dict:
         {"arm": arm, "loss": ARM_LOSS[arm], **{k: arms[arm]["metrics"][k] for k in columns[2:]}}
         for arm in ("A", "B", "C")
     ]
-    csv_path = os.path.join(config.out_dir, "ablation.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([row[k] for k in columns] for row in summary_rows)
+    rows = ([row[k] for k in columns] for row in summary_rows)
+    write_table(os.path.join(config.out_dir, "ablation.csv"), columns, rows)
     summary = {"split_manifest_sha256": manifest_hashes["C"], "rows": summary_rows}
     dump_json_file(os.path.join(config.out_dir, "ablation_summary.json"), summary)
     return summary

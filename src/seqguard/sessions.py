@@ -7,13 +7,13 @@ then sampled and split per class with deterministic rounding.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .artifacts import dump_json_file, read_records, write_records
 from .drain import StructuredLine
 
 # Reserved vocabulary slots; mined event ids are shifted past these when
@@ -275,44 +275,33 @@ def split(
 
 
 def write_windows_jsonl(windows: Sequence[LabeledWindow], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for w in windows:
-            handle.write(
-                json.dumps(
-                    {"window_id": w.window_id, "event_ids": w.event_ids, "label": w.label},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_records(path, (
+        {"window_id": w.window_id, "event_ids": w.event_ids, "label": w.label} for w in windows
+    ))
 
 
 def read_windows_jsonl(path: str, window_length: Optional[int] = None) -> list[LabeledWindow]:
     windows = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                ids = list(obj["event_ids"])
-                pad_len = 0
-                for eid in reversed(ids):
-                    if eid != PAD_ID:
-                        break
-                    pad_len += 1
-                if window_length is not None and len(ids) != window_length:
-                    raise ValueError(
-                        f"window {obj['window_id']} has length {len(ids)}, expected {window_length}"
-                    )
-                windows.append(
-                    LabeledWindow(
-                        window_id=obj["window_id"],
-                        event_ids=ids,
-                        label=int(obj["label"]),
-                        pad_len=pad_len,
-                    )
+        for obj in read_records(path):
+            ids = list(obj["event_ids"])
+            pad_len = 0
+            for eid in reversed(ids):
+                if eid != PAD_ID:
+                    break
+                pad_len += 1
+            if window_length is not None and len(ids) != window_length:
+                raise ValueError(
+                    f"window {obj['window_id']} has length {len(ids)}, expected {window_length}"
                 )
+            windows.append(
+                LabeledWindow(
+                    window_id=obj["window_id"],
+                    event_ids=ids,
+                    label=int(obj["label"]),
+                    pad_len=pad_len,
+                )
+            )
     except OSError as exc:
         raise OSError(f"cannot read dataset {path}: {exc}") from exc
     return windows
@@ -327,6 +316,4 @@ def write_split_manifest(split_result: DatasetSplit, path: str) -> None:
         "val": [w.window_id for w in split_result.val],
         "test": [w.window_id for w in split_result.test],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    dump_json_file(path, manifest)

@@ -8,15 +8,15 @@ step and abort after three consecutive skips.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .artifacts import write_table
 from .losses import LOSS_CROSS_ENTROPY, LOSS_FOCAL, FocalParams, classification_loss
-from .metrics import DEFAULT_THRESHOLD, MetricsReport, full_report
+from .metrics import DEFAULT_THRESHOLD, MetricsReport, NonFiniteScore, full_report
 from .model import ModelParams, classifier_logits, last_real_index
 from .optim import AdamW, Diverged, NonFiniteGradient, clip_gradients, lr_schedule
 from .sessions import DatasetSplit, LabeledWindow
@@ -58,6 +58,8 @@ class TrainConfig:
             raise ValueError("max_grad_norm must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
         if self.weight_decay < 0 or self.eps <= 0:
             raise ValueError("weight_decay must be >= 0 and eps > 0")
         if not 0.0 <= self.threshold <= 1.0:
@@ -148,7 +150,8 @@ def train(
 ) -> TrainResult:
     """Run the fine-tuning loop; params end at the final state, the best
     (max validation F1, ties to lower validation loss) state is returned
-    with its validation scores."""
+    with its validation scores. An epoch whose validation scores are not
+    finite is never the best; NonFiniteScore when no epoch's are."""
     if not split.train or not split.val:
         raise EmptySplit("train and val splits must both be non-empty")
     val_labels = {w.label for w in split.val}
@@ -234,9 +237,14 @@ def train(
             optimizer.step(lr)
             curve.append(CurvePoint(step=step, loss=group_loss, lr=lr))
 
-        report, val_loss, scores = evaluate(
-            params, split.val, tconfig.loss, focal, tconfig.threshold
-        )
+        try:
+            report, val_loss, scores = evaluate(
+                params, split.val, tconfig.loss, focal, tconfig.threshold
+            )
+        except NonFiniteScore as exc:
+            # The weights went non-finite; an earlier epoch may still be best.
+            events.append(f"epoch {epoch}: {exc}, not selectable")
+            continue
         epoch_rows.append(
             EpochRow(
                 epoch=epoch,
@@ -255,7 +263,8 @@ def train(
         ):
             best = (report.f1, val_loss, epoch, params.copy_state(), scores)
 
-    assert best is not None
+    if best is None:
+        raise NonFiniteScore("val scores are not finite after any epoch")
     return TrainResult(
         best_state=best[3],
         best_scores=best[4],
@@ -270,18 +279,12 @@ def train(
 
 
 def write_curve_csv(path: str, curve: Sequence[CurvePoint]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["step", "loss", "lr"])
-        for point in curve:
-            writer.writerow([point.step, str(point.loss), str(point.lr)])
+    rows = ([p.step, str(p.loss), str(p.lr)] for p in curve)
+    write_table(path, ["step", "loss", "lr"], rows)
 
 
 def write_epochs_csv(path: str, rows: Sequence[EpochRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["epoch", "accuracy", "precision", "recall", "f1", "auc"])
-        for r in rows:
-            writer.writerow(
-                [r.epoch, str(r.accuracy), str(r.precision), str(r.recall), str(r.f1), str(r.auc)]
-            )
+    write_table(path, ["epoch", "accuracy", "precision", "recall", "f1", "auc"], (
+        [r.epoch, str(r.accuracy), str(r.precision), str(r.recall), str(r.f1), str(r.auc)]
+        for r in rows
+    ))

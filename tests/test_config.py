@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from seqguard.artifacts import dump_json_file, load_json_file
 from seqguard.config import (
     _SECTIONS,
     ARMS,
@@ -13,8 +14,6 @@ from seqguard.config import (
     apply_overrides,
     config_from_dict,
     derive_seed,
-    dump_json_file,
-    load_json_file,
 )
 
 

@@ -81,6 +81,24 @@ def _brute_auc(scores, labels):
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
 
 
+def _midrank_auc(scores, labels):
+    """Mann-Whitney U from average ranks, one tie group at a time."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(s.size)
+    i = 0
+    while i < s.size:
+        j = i
+        while j + 1 < s.size and s[order[j + 1]] == s[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return (float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 class TestAuc:
     def test_perfect_separation(self):
         assert roc_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
@@ -110,6 +128,17 @@ class TestAuc:
             expect = _brute_auc(scores, labels)
             assert abs(got - expect) <= 1e-12, f"trial {trial}"
 
+    def test_bitwise_equal_to_midrank_formula(self):
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            n = int(rng.integers(2, 400))
+            labels = rng.integers(0, 2, size=n)
+            labels[0], labels[1] = 0, 1
+            levels = int(rng.integers(1, 6)) if trial % 2 else 0
+            scores = rng.integers(0, levels, size=n) / levels if levels else rng.random(n)
+            got = roc_auc(scores.tolist(), labels.tolist())
+            assert got == _midrank_auc(scores, labels), f"trial {trial}"
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)
         scores = rng.random(80)
@@ -128,6 +157,13 @@ class TestAuc:
         a = roc_auc(scores.tolist(), labels.tolist())
         b = roc_auc((-scores).tolist(), (1 - labels).tolist())
         assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("metric", [confusion, roc_auc, roc_curve])
+def test_non_finite_score_rejected(metric, bad):
+    with pytest.raises(ValueError, match="not finite"):
+        metric([0.9, bad, 0.1], [1, 0, 0])
 
 
 class TestRocCurve:

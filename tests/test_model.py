@@ -319,7 +319,7 @@ class TestReadoutPath:
         }
         return logits.data, grads
 
-    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    @pytest.mark.parametrize("n_layers", [1, 2])
     @pytest.mark.parametrize("last", [[4, 4, 4], [0, 3, 2]], ids=["at_end", "before_end"])
     def test_matches_full_path(self, n_layers, last):
         params = tiny_model(seed=11, n_layers=n_layers)

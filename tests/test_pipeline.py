@@ -17,8 +17,9 @@ import pytest
 
 import seqguard
 from seqguard import pipeline
+from seqguard.artifacts import dump_json_file, load_json_file
 from seqguard.cli import _exit_code_for, main
-from seqguard.config import config_from_dict, dump_json_file, load_json_file
+from seqguard.config import config_from_dict
 from seqguard.drain import load_templates
 from seqguard.judge import EndpointUnavailable, build_prompt, prompt_hash, vocab_template_table
 from seqguard.losses import FocalParams
@@ -586,6 +587,10 @@ class TestCli:
             "train.loss=bogus",
             "model.d_model=63",
             "model.n_heads=0",
+            "model.n_layers=0",
+            "model.n_layers=-1",
+            "model.d_ff=0",
+            "model.d_model=0",
             "model.dropout=1.5",
             "model.max_seq_len=8",  # below window_length + 1
             "judge.rate_limit=0",
@@ -597,6 +602,10 @@ class TestCli:
             "train.threshold=2",
             "judge.timeout=-1",
             "train.pretrain_steps=-1",
+            "train.beta1=1.5",
+            "train.beta1=-0.1",
+            "train.beta2=1",
+            "train.beta2=-1",
         ],
     )
     def test_invalid_setting_fails_before_any_stage(self, tmp_path, capsys, override):
@@ -632,6 +641,19 @@ class TestCli:
             code = main(["run", "--config", cfg])
         assert code == 3
         assert "stage train failed" in capsys.readouterr().err
+
+    def test_non_finite_scores_are_a_data_error(self, tmp_path, capsys):
+        # Two optimizer steps leave the weights non-finite, too few for three
+        # skipped steps in a row; the val scores of the only epoch are NaN,
+        # and no metric may be taken over them.
+        cfg = self._config_file(
+            tmp_path, n_sessions=60, n_anomalous=4, train={"grad_accum_steps": 4}
+        )
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", cfg, "--set", "train.learning_rate=1e300"])
+        assert code == 2
+        assert "val scores are not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval_metrics.json").exists()
 
     def test_exit_code_mapping(self):
         assert _exit_code_for(ShapeMismatch("bad")) == 3

@@ -197,6 +197,18 @@ class TestGuards:
                 train(_toy_model(), split, config, TRAIN_SEED)
 
 
+    def test_epoch_with_non_finite_scores_is_never_best(self):
+        # The weights go non-finite in epoch 3 after one skipped step, too
+        # few to stop training.
+        split = _split(seed=5, n=80, rate=0.2)
+        config = _toy_config(learning_rate=1e20, max_grad_norm=1e18, epochs=3, batch_size=32)
+        with np.errstate(all="ignore"):
+            result = train(_toy_model(), split, config, TRAIN_SEED)
+        assert [row.epoch for row in result.epoch_rows] == [1, 2]
+        assert result.best_epoch in (1, 2)
+        assert np.all(np.isfinite(result.best_scores))
+        assert result.events[-1] == "epoch 3: 16 of 16 scores are not finite, not selectable"
+
 class TestEvaluate:
     def test_scores_align_with_forward(self):
         params = _toy_model(seed=7)
