@@ -51,28 +51,27 @@ def read_records(path: str) -> Iterator[Any]:
 
 
 def dump_json_file(path: str, payload: Any, compact: bool = False, atomic: bool = False) -> None:
-    """Write one document. ``compact`` drops the indent and the spaces after
-    separators. ``atomic`` writes a private temporary file beside ``path``
-    and renames it over ``path``, so a reader never sees half a document."""
+    """Write one document, or no file when the write fails. ``compact`` drops
+    the indent and the spaces after separators. ``atomic`` writes a private
+    temporary file beside ``path`` and renames it over ``path``, so a reader
+    never sees half a document."""
     layout = {"separators": (",", ":")} if compact else {"indent": 2}
-
-    def write(handle: TextIO) -> None:
-        # Streamed: building the text first costs megabytes on a large manifest.
-        json.dump(payload, handle, sort_keys=True, allow_nan=False, **layout)
-        handle.write("\n")
-
-    if not atomic:
-        with open(path, "w", encoding="utf-8") as handle:
-            write(handle)
-        return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    if atomic:
+        fd, target = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+        handle = os.fdopen(fd, "w", encoding="utf-8")
+    else:
+        target, handle = path, open(path, "w", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            write(handle)
-        os.replace(tmp, path)
+        with handle:
+            # Streamed: building the text first costs megabytes on a large manifest.
+            json.dump(payload, handle, sort_keys=True, allow_nan=False, **layout)
+            handle.write("\n")
+        if atomic:
+            os.replace(target, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        # A refused document leaves no file; opening ``path`` has already
+        # truncated any earlier version, so nothing more is lost.
+        os.unlink(target)
         raise
 
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .artifacts import load_json_file
 from .config import ARMS, apply_overrides, config_from_dict
+from .judge import AuthMissing, EndpointUnavailable
 from .pipeline import STAGES, StageError, run_ablation, run_pipeline, run_stage
 from .tensor import ShapeMismatch
 
@@ -125,7 +126,9 @@ def _resolve_config(args: argparse.Namespace):
     return config_from_dict(payload)
 
 
-_DATA_ERRORS = (OSError, ValueError, KeyError, EOFError)
+# Bad or missing inputs, and failures from outside the program: a missing
+# judge fixture or API key, or an endpoint that is down or refuses.
+_DATA_ERRORS = (OSError, ValueError, KeyError, EOFError, AuthMissing, EndpointUnavailable)
 
 
 def _exit_code_for(cause: BaseException) -> int:

@@ -10,9 +10,11 @@ and remote rows share one code path.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import time
+import urllib.parse
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -77,12 +79,17 @@ class JudgeConfig:
     prompt_template: Optional[str] = None
 
     def __post_init__(self):
-        if self.rate_limit <= 0:
-            raise ValueError("rate_limit must be positive requests/sec")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive seconds")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        # urllib would also open file: and data: URLs, which answer no status.
+        if urllib.parse.urlsplit(self.endpoint).scheme not in ("http", "https"):
+            raise ValueError("endpoint must be an http:// or https:// URL")
+        # Bounded, so that no setting makes a run wait for hours: the pacer
+        # sleeps 1/rate_limit, and the backoff doubles with each retry.
+        if not self.rate_limit >= 1 / 60:
+            raise ValueError("rate_limit must be at least 1/60 requests/sec")
+        if not 0 < self.timeout <= 600:
+            raise ValueError("timeout must be in (0, 600] seconds")
+        if not 0 <= self.max_retries <= 10:
+            raise ValueError("max_retries must be in [0, 10]")
         if self.prompt_template is not None and "{events}" not in self.prompt_template:
             raise ValueError("prompt_template must contain an {events} slot")
 
@@ -161,19 +168,39 @@ def _extract_content(body: dict) -> str:
 
 
 def _default_transport(config: JudgeConfig, payload: dict, api_key: str) -> dict:
-    import requests
+    """POST the payload as JSON and return the decoded reply. 429 and 5xx
+    replies and malformed ones raise ``_RetryableHTTP``; any other status
+    but 200 raises ``EndpointUnavailable``."""
+    # Imported here: they load ssl, about 3 MiB of resident memory that a
+    # run without live calls never needs.
+    import http.client
+    import urllib.error
+    import urllib.request
 
-    response = requests.post(
+    request = urllib.request.Request(
         config.endpoint,
-        json=payload,
-        headers={"Authorization": f"Bearer {api_key}"},
-        timeout=config.timeout,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
     )
-    if response.status_code in (429,) or response.status_code >= 500:
-        raise _RetryableHTTP(f"HTTP {response.status_code}")
-    if response.status_code != 200:
-        raise EndpointUnavailable(f"HTTP {response.status_code}: {response.text[:200]}")
-    return response.json()
+    # Unredirected: urllib copies ordinary headers to a redirect target.
+    request.add_unredirected_header("Authorization", f"Bearer {api_key}")
+    try:
+        try:
+            with urllib.request.urlopen(request, timeout=config.timeout) as response:
+                status, body = response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                status, body = exc.code, exc.read()
+    except http.client.HTTPException as exc:
+        # A bad status line or a short read, of any reply; not an OSError.
+        raise _RetryableHTTP(f"malformed reply: {exc!r}") from exc
+    if status == 429 or status >= 500:
+        raise _RetryableHTTP(f"HTTP {status}")
+    if status != 200:
+        text = body[:200].decode("utf-8", errors="replace")
+        raise EndpointUnavailable(f"HTTP {status}: {text}")
+    return json.loads(body)
 
 
 class _RetryableHTTP(RuntimeError):
@@ -297,12 +324,6 @@ def _call_with_retries(
             raise
         except (_RetryableHTTP, OSError, ValueError) as exc:
             last_error = exc
-        except Exception as exc:
-            # requests exceptions do not share a stdlib base; retry them too.
-            if type(exc).__module__.startswith("requests"):
-                last_error = exc
-            else:
-                raise
     raise EndpointUnavailable(
         f"endpoint failed after {config.max_retries + 1} attempts: {last_error}"
     )

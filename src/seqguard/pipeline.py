@@ -600,7 +600,7 @@ def run_stage(name: str, config: ExperimentConfig, **kwargs) -> dict:
         raise StageError(name, exc) from exc
 
 
-def run_pipeline(config: ExperimentConfig, judge_transport=None) -> dict:
+def run_pipeline(config: ExperimentConfig) -> dict:
     """Run every stage that is not current, then the report; artifacts
     written so far survive a failing stage. The judge stage runs only when
     enabled in config, and never on raw-token datasets."""
@@ -616,8 +616,7 @@ def run_pipeline(config: ExperimentConfig, judge_transport=None) -> dict:
             continue
         if _is_current(stage, config, recorded):
             continue
-        kwargs = {"transport": judge_transport} if stage.name == "judge" else {}
-        run_stage(stage.name, config, **kwargs)
+        run_stage(stage.name, config)
         stages_run.append(stage.name)
 
     wall = time.monotonic() - started
@@ -640,7 +639,7 @@ def arm_config(config: ExperimentConfig, arm: str) -> ExperimentConfig:
     )
 
 
-def run_ablation(config: ExperimentConfig, judge_transport=None) -> dict:
+def run_ablation(config: ExperimentConfig) -> dict:
     """Run arms A (raw tokens + CE), B (event ids + CE), C (event ids +
     Focal) on the identical sampled split; emit a per-arm summary table.
 
@@ -657,7 +656,7 @@ def run_ablation(config: ExperimentConfig, judge_transport=None) -> dict:
             # A copy, not hard links: stages rewrite their outputs in place.
             shutil.copytree(previous, cfg.out_dir)
         previous = cfg.out_dir
-        report = run_pipeline(cfg, judge_transport=judge_transport)
+        report = run_pipeline(cfg)
         arms[arm] = report
         manifest_hashes[arm] = report["dataset"]["split_manifest_sha256"]
 

@@ -96,8 +96,7 @@ def test_document_layout(tmp_path, compact):
 def test_document_refuses_non_finite_numbers(tmp_path, atomic, bad):
     with pytest.raises(ValueError):
         dump_json_file(str(tmp_path / "d.json"), {"auc": bad}, atomic=atomic)
-    if atomic:
-        assert os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path) == []
 
 
 def test_atomic_document_replaces_the_old_one(tmp_path):

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import http.server
 import json
 import os
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
+import seqguard.judge
 from seqguard.drain import EventTemplate
 from seqguard.judge import (
     ANSWER_DIRECTIVE,
@@ -252,6 +258,157 @@ class TestClassifyRemote:
         )
         assert verdicts[0].label == 1
         assert verdicts[0].ambiguous is True
+
+
+class _Endpoint(http.server.ThreadingHTTPServer):
+    """An in-process chat endpoint. It answers the n-th request with the
+    n-th reply (the last one repeats) and records each request as
+    (method, headers, body)."""
+
+    daemon_threads = True
+
+    def __init__(self, replies):
+        super().__init__(("127.0.0.1", 0), _EndpointHandler)
+        self.replies = replies
+        self.seen = []
+        self.url = f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out has hung up; that is the test's point
+
+
+class _EndpointHandler(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        self.server.seen.append((self.command, dict(self.headers), self.rfile.read(length)))
+        replies = self.server.replies
+        replies[min(len(self.server.seen), len(replies)) - 1](self)
+
+    do_GET = do_POST
+
+    def log_message(self, *args):
+        pass
+
+
+def _reply(status, body=None, headers=()):
+    def reply(handler):
+        data = json.dumps(body).encode() if body is not None else b""
+        handler.send_response(status)
+        for name, value in headers:
+            handler.send_header(name, value)
+        handler.send_header("Content-Length", str(len(data)))
+        handler.end_headers()
+        handler.wfile.write(data)
+
+    return reply
+
+
+def _raw(data, delay=0.0):
+    def reply(handler):
+        time.sleep(delay)
+        handler.wfile.write(data)
+        handler.close_connection = True
+
+    return reply
+
+
+OK = _reply(200, _response("ANOMALY"))
+
+
+class TestLiveHTTP:
+    """The transport that ships, against in-process servers on 127.0.0.1."""
+
+    @pytest.fixture
+    def serve(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV_VAR, "SECRET")
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+        servers = []
+
+        def start(*replies):
+            server = _Endpoint(replies)
+            threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
+            servers.append(server)
+            return server
+
+        yield start
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+
+    def _classify(self, tmp_path, server, **overrides):
+        config = _config(tmp_path, endpoint=server.url, **overrides)
+        return classify_remote(config, [("w1", "prompt A")], sleep=lambda s: None)
+
+    def test_ok_reply(self, tmp_path, serve):
+        server = serve(OK)
+        verdicts = self._classify(tmp_path, server)
+        assert [(v.label, v.source) for v in verdicts] == [(1, "live")]
+        [(method, headers, body)] = server.seen
+        assert method == "POST"
+        assert headers["Authorization"] == "Bearer SECRET"
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body) == {
+            "model": "gpt-4",
+            "messages": [{"role": "user", "content": "prompt A"}],
+            "temperature": 0,
+        }
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            _reply(429),
+            _raw(b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nnope"),  # not JSON
+            _raw(b"garbage\r\n"),  # a bad status line
+            _raw(b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\n{"),  # a short read
+            _raw(b"", delay=0.4),  # past the 0.2 s timeout
+        ],
+        ids=["429", "not_json", "bad_status_line", "short_read", "timeout"],
+    )
+    def test_transient_failure_is_retried(self, tmp_path, serve, first):
+        server = serve(first, OK)
+        verdicts = self._classify(tmp_path, server, timeout=0.2)
+        assert verdicts[0].source == "live"
+        assert len(server.seen) == 2
+
+    def test_server_error_exhausts_retries(self, tmp_path, serve):
+        server = serve(_reply(500))
+        with pytest.raises(EndpointUnavailable, match="3 attempts"):
+            self._classify(tmp_path, server, max_retries=2)
+        assert len(server.seen) == 3
+
+    def test_client_error_fails_at_once(self, tmp_path, serve):
+        server = serve(_reply(401, {"error": "bad key"}))
+        with pytest.raises(EndpointUnavailable, match="HTTP 401.*bad key"):
+            self._classify(tmp_path, server, max_retries=5)
+        assert len(server.seen) == 1
+
+    def test_redirect_target_gets_no_key(self, tmp_path, serve):
+        target = serve(OK)
+        origin = serve(_reply(302, headers=[("Location", target.url)]))
+        assert self._classify(tmp_path, origin)[0].label == 1
+        assert origin.seen[0][1]["Authorization"] == "Bearer SECRET"
+        [(_, headers, _)] = target.seen
+        assert "Authorization" not in headers
+
+    def test_live_call_without_requests(self, tmp_path, serve):
+        server = serve(OK)
+        script = (
+            "import sys\n"
+            "sys.modules['requests'] = None\n"
+            "from seqguard.judge import JudgeConfig, classify_remote\n"
+            "config = JudgeConfig(endpoint=sys.argv[1], cache_dir=sys.argv[2])\n"
+            "print(classify_remote(config, [('w1', 'prompt A')])[0].source)\n"
+        )
+        src = os.path.dirname(os.path.dirname(seqguard.judge.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, server.url, str(tmp_path / "cache")],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "live\n"
 
 
 class TestPacer:

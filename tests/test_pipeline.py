@@ -21,7 +21,13 @@ from seqguard.artifacts import dump_json_file, load_json_file
 from seqguard.cli import _exit_code_for, main
 from seqguard.config import config_from_dict
 from seqguard.drain import load_templates
-from seqguard.judge import EndpointUnavailable, build_prompt, prompt_hash, vocab_template_table
+from seqguard.judge import (
+    AuthMissing,
+    EndpointUnavailable,
+    build_prompt,
+    prompt_hash,
+    vocab_template_table,
+)
 from seqguard.losses import FocalParams
 from seqguard.model import load_checkpoint, vocab_manifest_hash
 from seqguard.optim import Diverged
@@ -606,6 +612,13 @@ class TestCli:
             "train.beta1=-0.1",
             "train.beta2=1",
             "train.beta2=-1",
+            "judge.rate_limit=1e-6",  # the pacer would sleep 10**6 s
+            "judge.rate_limit=0.0166",  # just under one request a minute
+            "judge.timeout=1e300",  # socket.settimeout overflows
+            "judge.timeout=601",
+            "judge.timeout=NaN",
+            "judge.max_retries=11",
+            "judge.endpoint=file:reply.json",
         ],
     )
     def test_invalid_setting_fails_before_any_stage(self, tmp_path, capsys, override):
@@ -655,12 +668,22 @@ class TestCli:
         assert "val scores are not finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "eval_metrics.json").exists()
 
+    def test_missing_judge_fixture_is_data_error(self, tmp_path, capsys):
+        cfg = self._config_file(tmp_path, n_sessions=60, n_anomalous=4)
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        argv = ["run", "--config", cfg, "--fixtures", str(fixtures), "--set", "judge.enabled=true"]
+        assert main(argv) == 2
+        assert "stage judge failed" in capsys.readouterr().err
+
     def test_exit_code_mapping(self):
         assert _exit_code_for(ShapeMismatch("bad")) == 3
         assert _exit_code_for(Diverged("boom")) == 3
         assert _exit_code_for(ValueError("bad value")) == 2
         assert _exit_code_for(OSError("gone")) == 2
         assert _exit_code_for(KeyError("missing")) == 2
+        assert _exit_code_for(EndpointUnavailable("HTTP 401")) == 2
+        assert _exit_code_for(AuthMissing("no key")) == 2
 
     @pytest.mark.parametrize("libc", ["no_library", "no_mallopt", "no_malloc_trim"])
     def test_heap_policy_is_optional(self, tmp_path, capsys, monkeypatch, libc):
