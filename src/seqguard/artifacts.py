@@ -13,8 +13,10 @@ NaN and infinities are refused in JSON: they are not JSON (RFC 8259).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import sys
 import tempfile
 from typing import Any, Iterable, Iterator, Sequence, TextIO
 
@@ -31,9 +33,29 @@ def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> N
 
 
 def read_table(path: str) -> Iterator[dict[str, str]]:
-    """The rows of a table, streamed, each keyed by the header."""
+    """The rows of a table, streamed, each keyed by the header; every field
+    reads back as ``write_table`` wrote it."""
+    # A template field is as long as its log message, and csv refuses
+    # fields over 131,072 characters unless told otherwise.
+    csv.field_size_limit(sys.maxsize)
+    if not _holds_carriage_return(path):
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            yield from csv.DictReader(handle)
+        return
+    # csv.writer quotes a field that holds the line end, "\n", but not one
+    # that holds a bare "\r", where csv.reader would end the row. So each
+    # "\r" is read as a character the table does not hold, then put back.
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        yield from csv.DictReader(handle)
+        text = handle.read()
+    stand_in = next(c for c in map(chr, range(0xE000, 0x110000)) if c not in text)
+    lines = io.StringIO(text.replace("\r", stand_in), newline="")
+    for row in csv.DictReader(lines):
+        yield {k.replace(stand_in, "\r"): v.replace(stand_in, "\r") for k, v in row.items()}
+
+
+def _holds_carriage_return(path: str) -> bool:
+    with open(path, "rb") as handle:
+        return any(b"\r" in chunk for chunk in iter(lambda: handle.read(65536), b""))
 
 
 def write_records(path: str, records: Iterable[dict]) -> None:

@@ -2,9 +2,9 @@
 
 Each test window is rendered as a deterministic prompt; responses come
 from (in priority order) a fixture directory, the on-disk cache, or the
-live endpoint. Raw responses are always persisted before parsing so a
-bad parse never loses data. Scoring reuses the metrics module so local
-and remote rows share one code path.
+live endpoint. Live replies are persisted before their verdict is parsed,
+so an unparseable verdict never loses data. Scoring reuses the metrics
+module so local and remote rows share one code path.
 """
 
 from __future__ import annotations
@@ -160,11 +160,16 @@ def parse_verdict(response_text: str) -> tuple[int, bool]:
     return label, len(kinds) > 1
 
 
-def _extract_content(body: dict) -> str:
+def _extract_content(body: dict) -> Optional[str]:
+    """The reply's verdict text; ValueError when it has none. A null content
+    passes, and parses as unparseable."""
     try:
-        return body["choices"][0]["message"]["content"]
+        content = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"response body missing choices[0].message.content: {exc}")
+    if content is not None and not isinstance(content, str):
+        raise ValueError(f"choices[0].message.content is not text: {content!r}")
+    return content
 
 
 def _default_transport(config: JudgeConfig, payload: dict, api_key: str) -> dict:
@@ -232,65 +237,33 @@ def classify_remote(
     transport: Optional[Callable[[dict], dict]] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> list[Verdict]:
-    """Resolve (window_id, prompt) pairs to verdicts, cache-first.
+    """Resolve (window_id, prompt) pairs to verdicts, cache-first, one
+    verdict per pair.
 
-    Resolution order per prompt: fixture file, cache file, live call.
-    Live responses are written to the cache atomically before parsing.
-    An injected transport takes the request payload and returns the
-    response body, replacing the HTTP layer in tests.
+    Each distinct prompt resolves once: from its fixture file, else its
+    cache file, else a live call. A live reply is written to the cache
+    atomically once its verdict text is read, so a reply without one is
+    retried and never cached. A prompt repeated after a live call reads
+    ``source: "cache"``, as a per-window lookup would. An injected
+    transport takes the request payload and returns the response body,
+    replacing the HTTP layer in tests.
     """
     if config.fixtures is None and config.cache_dir is None:
         raise ValueError("cache_dir must be set unless fixtures are")
     pacer = _Pacer(min_interval=1.0 / config.rate_limit, sleep=sleep)
     api_key = os.environ.get(API_KEY_ENV_VAR)
+    resolved: dict[str, tuple[str, str]] = {}  # prompt -> (content, source of a repeat)
     verdicts = []
     for window_id, prompt in prompts:
-        body = None
-        source = None
-
-        if config.fixtures is not None:
-            fixture_path = os.path.join(config.fixtures, f"{prompt_hash(prompt)}.json")
-            if not os.path.exists(fixture_path):
-                raise EndpointUnavailable(
-                    f"fixture mode: no fixture {os.path.basename(fixture_path)} "
-                    f"for window {window_id}"
-                )
-            body = load_json_file(fixture_path)
-            source = "fixture"
-
-        if body is None:
-            cache_path = os.path.join(
-                config.cache_dir, f"{cache_key(config.model, prompt)}.json"
-            )
-            if os.path.exists(cache_path):
-                body = load_json_file(cache_path)["response"]
-                source = "cache"
-
-        if body is None:
-            if transport is None and api_key is None:
-                raise AuthMissing(
-                    f"set {API_KEY_ENV_VAR} to query the endpoint "
-                    f"(window {window_id} not cached)"
-                )
-            payload = {
-                "model": config.model,
-                "messages": [{"role": "user", "content": prompt}],
-                "temperature": 0,
-            }
-            body = _call_with_retries(config, payload, transport, api_key, pacer, sleep)
-            os.makedirs(config.cache_dir, exist_ok=True)
-            record = {"model": config.model, "prompt_sha256": prompt_hash(prompt), "response": body}
-            dump_json_file(cache_path, record, atomic=True)
-            source = "live"
-
-        content = _extract_content(body)
+        if prompt in resolved:
+            content, source = resolved[prompt]
+        else:
+            content, source = _resolve(config, window_id, prompt, transport, api_key, pacer, sleep)
+            resolved[prompt] = (content, "cache" if source == "live" else source)
         try:
             label, ambiguous = parse_verdict(content)
         except Unparseable:
-            verdicts.append(
-                Verdict(window_id=window_id, label=None, raw_response=content, source=source)
-            )
-            continue
+            label, ambiguous = None, False
         verdicts.append(
             Verdict(
                 window_id=window_id,
@@ -303,6 +276,46 @@ def classify_remote(
     return verdicts
 
 
+def _resolve(
+    config: JudgeConfig,
+    window_id: str,
+    prompt: str,
+    transport: Optional[Callable[[dict], dict]],
+    api_key: Optional[str],
+    pacer: _Pacer,
+    sleep: Callable[[float], None],
+) -> tuple[str, str]:
+    """One prompt's verdict text and where it came from: fixture, cache or live."""
+    if config.fixtures is not None:
+        fixture_path = os.path.join(config.fixtures, f"{prompt_hash(prompt)}.json")
+        if not os.path.exists(fixture_path):
+            raise EndpointUnavailable(
+                f"fixture mode: no fixture {os.path.basename(fixture_path)} "
+                f"for window {window_id}"
+            )
+        return _extract_content(load_json_file(fixture_path)), "fixture"
+
+    cache_path = os.path.join(config.cache_dir, f"{cache_key(config.model, prompt)}.json")
+    if os.path.exists(cache_path):
+        return _extract_content(load_json_file(cache_path)["response"]), "cache"
+
+    if transport is None and api_key is None:
+        raise AuthMissing(
+            f"set {API_KEY_ENV_VAR} to query the endpoint "
+            f"(window {window_id} not cached)"
+        )
+    payload = {
+        "model": config.model,
+        "messages": [{"role": "user", "content": prompt}],
+        "temperature": 0,
+    }
+    body, content = _call_with_retries(config, payload, transport, api_key, pacer, sleep)
+    os.makedirs(config.cache_dir, exist_ok=True)
+    record = {"model": config.model, "prompt_sha256": prompt_hash(prompt), "response": body}
+    dump_json_file(cache_path, record, atomic=True)
+    return content, "live"
+
+
 def _call_with_retries(
     config: JudgeConfig,
     payload: dict,
@@ -310,7 +323,9 @@ def _call_with_retries(
     api_key: Optional[str],
     pacer: _Pacer,
     sleep: Callable[[float], None],
-) -> dict:
+) -> tuple[dict, str]:
+    """The reply body and its verdict text; a reply without verdict text is
+    retried like one that is not JSON."""
     last_error: Optional[Exception] = None
     for attempt in range(config.max_retries + 1):
         if attempt > 0:
@@ -318,8 +333,10 @@ def _call_with_retries(
         pacer.wait()
         try:
             if transport is not None:
-                return transport(payload)
-            return _default_transport(config, payload, api_key or "")
+                body = transport(payload)
+            else:
+                body = _default_transport(config, payload, api_key or "")
+            return body, _extract_content(body)
         except EndpointUnavailable:
             raise
         except (_RetryableHTTP, OSError, ValueError) as exc:

@@ -351,6 +351,8 @@ def stage_train(config: ExperimentConfig) -> dict:
     write_table(paths["scores"], ["window_id", "score", "label"], (
         [w.window_id, str(float(s)), w.label] for w, s in zip(val_windows, result.best_scores)
     ))
+    train_sequences = {tuple(w.event_ids) for w in train_windows}
+    val_sequences = [tuple(w.event_ids) for w in val_windows]
     summary = {
         "best_epoch": result.best_epoch,
         "best_f1": result.best_f1,
@@ -359,6 +361,10 @@ def stage_train(config: ExperimentConfig) -> dict:
         "planned_steps": result.total_steps,
         "skipped_step_events": result.events,
         "pretrain": pretrain_info,
+        # How much val repeats: distinct event-id rows, and windows whose row
+        # is also a train window's.
+        "val_distinct_sequences": len(set(val_sequences)),
+        "val_windows_seen_in_train": sum(s in train_sequences for s in val_sequences),
     }
     dump_json_file(paths["train_summary"], summary)
     return summary
@@ -403,7 +409,13 @@ def stage_judge(config: ExperimentConfig, transport=None) -> dict:
         cache_dir=config.judge.cache_dir or os.path.join(config.out_dir, "judge_cache"),
     )
     template = config.judge.prompt_template or DEFAULT_PROMPT_TEMPLATE
-    prompts = [(w.window_id, build_prompt(w, table, template)) for w in val_windows]
+    by_sequence: dict[tuple[int, ...], str] = {}  # each distinct sequence's prompt
+    prompts = []
+    for w in val_windows:
+        sequence = tuple(w.event_ids)
+        if sequence not in by_sequence:
+            by_sequence[sequence] = build_prompt(w, table, template)
+        prompts.append((w.window_id, by_sequence[sequence]))
     verdicts = classify_remote(jconfig, prompts, transport=transport)
     write_verdicts_jsonl(paths["verdicts"], verdicts)
     sources = Counter(v.source for v in verdicts)
@@ -572,24 +584,24 @@ def _record_key(out_dir: str, name: str, key: Optional[str]) -> None:
         dump_json_file(artifact_paths(out_dir)["stage_keys"], keys)
 
 
-def _is_current(stage: Stage, config: ExperimentConfig, recorded: dict) -> bool:
+def _has_recorded_outputs(stage: Stage, config: ExperimentConfig, recorded: dict) -> bool:
     paths = artifact_paths(config.out_dir)
-    return (
-        stage.name in recorded
-        and all(os.path.exists(paths[name]) for name in stage.outputs)
-        and recorded[stage.name] == _stage_key(stage, config)
+    return stage.name in recorded and all(
+        os.path.exists(paths[name]) for name in stage.outputs
     )
 
 
-def run_stage(name: str, config: ExperimentConfig, **kwargs) -> dict:
-    """Run one stage and record its key once it succeeds. The old key is
+def run_stage(name: str, config: ExperimentConfig, key: Optional[str] = None, **kwargs) -> dict:
+    """Run one stage and record its key once it succeeds; ``key``, when
+    given, is the stage's key as the caller just computed it. The old key is
     cleared first, so outputs a failing stage left half written are never
     taken as current."""
     try:
         stage = _BY_NAME[name]
         if stage.reads is None:
             return stage.func(config, **kwargs)
-        key = _stage_key(stage, config)
+        if key is None:
+            key = _stage_key(stage, config)
         _record_key(config.out_dir, name, None)
         result = stage.func(config, **kwargs)
         _record_key(config.out_dir, name, key)
@@ -614,9 +626,14 @@ def run_pipeline(config: ExperimentConfig) -> dict:
     for stage in GRAPH[:-1]:  # the report always runs, last
         if stage.name == "judge" and not run_judge:
             continue
-        if _is_current(stage, config, recorded):
-            continue
-        run_stage(stage.name, config)
+        # A stage is current when its recorded key matches; the key, once
+        # computed, goes to run_stage, so no stage's inputs are hashed twice.
+        key = None
+        if _has_recorded_outputs(stage, config, recorded):
+            key = _stage_key(stage, config)
+            if recorded[stage.name] == key:
+                continue
+        run_stage(stage.name, config, key=key)
         stages_run.append(stage.name)
 
     wall = time.monotonic() - started

@@ -20,7 +20,7 @@ from .metrics import DEFAULT_THRESHOLD, MetricsReport, NonFiniteScore, full_repo
 from .model import ModelParams, classifier_logits, last_real_index
 from .optim import AdamW, Diverged, NonFiniteGradient, clip_gradients, lr_schedule
 from .sessions import DatasetSplit, LabeledWindow
-from .tensor import Tape
+from .tensor import Tape, Tensor
 
 MAX_CONSECUTIVE_SKIPS = 3
 
@@ -121,22 +121,40 @@ def evaluate(
     threshold: float = DEFAULT_THRESHOLD,
     batch_size: int = 32,
 ) -> tuple[MetricsReport, float, np.ndarray]:
-    """Score every window; returns (report, mean loss, p_anomaly scores)."""
+    """Score every window; returns (report, mean loss, p_anomaly scores).
+
+    The model runs once per distinct event-id row, in batches of
+    ``batch_size`` rows in order of first appearance, and each window takes
+    its row's logits. The loss and the scores are then taken over
+    ``batch_size`` windows at a time in window order, so with no repeated
+    row every batch, and so every output, is the one-pass-per-window result.
+    """
     if not windows:
         raise EmptySplit("cannot evaluate an empty window list")
+    ids, labels, last = _stack(windows)
+    _, first, inverse = np.unique(ids, axis=0, return_index=True, return_inverse=True)
+    # np.unique orders rows by value; renumber them by first appearance.
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    rows = first[order]
+    logits = np.empty((rows.size, 2))
+    for lo in range(0, rows.size, batch_size):
+        batch = rows[lo : lo + batch_size]
+        tape = Tape(record=False)
+        out = classifier_logits(tape, params, ids[batch], last[batch])
+        logits[lo : lo + batch.size] = out.data
+    window_logits = logits[position[inverse.reshape(-1)]]
+
     scores = np.zeros(len(windows))
     loss_total = 0.0
     for lo in range(0, len(windows), batch_size):
-        chunk = windows[lo : lo + batch_size]
-        ids, labels, last = _stack(chunk)
+        chunk = Tensor(window_logits[lo : lo + batch_size])
         tape = Tape(record=False)
-        logits = classifier_logits(tape, params, ids, last)
-        loss = classification_loss(tape, logits, labels, loss_kind, focal)
-        loss_total += loss.item() * len(chunk)
-        probs = tape.softmax_rows(logits)
-        scores[lo : lo + len(chunk)] = probs.data[:, 1]
-    labels_all = [w.label for w in windows]
-    report = full_report(list(scores), labels_all, threshold)
+        loss = classification_loss(tape, chunk, labels[lo : lo + batch_size], loss_kind, focal)
+        loss_total += loss.item() * chunk.rows
+        scores[lo : lo + chunk.rows] = tape.softmax_rows(chunk).data[:, 1]
+    report = full_report(list(scores), [w.label for w in windows], threshold)
     return report, loss_total / len(windows), scores
 
 

@@ -10,6 +10,8 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqguard
 from seqguard.artifacts import (
@@ -71,6 +73,35 @@ def test_table_to_handle_matches_table_to_path(tmp_path):
     write_table_to(buf, ["x"], [[0.5], [3]])
     with open(path, encoding="utf-8", newline="") as handle:
         assert handle.read() == buf.getvalue() == "x\n0.5\n3\n"
+
+
+# Text that csv and JSON both make special: quotes, separators, line ends,
+# a bare "\r", NUL, non-ASCII, and fields past csv's default size limit.
+_special = st.sampled_from(['"', ",", "\n", "\r", "\r\n", "\x00", " ", "\u2028", "é", "\ue000"])
+_short = st.lists(st.one_of(_special, st.text(max_size=4)), max_size=6).map("".join)
+_long = st.builds(lambda head, n: head * n, st.sampled_from(["a", '"', "\r", "ab,"]),
+                  st.integers(131_000, 140_000))
+_field = st.one_of(_short, _short, _short, _long)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    header=st.lists(_short, min_size=1, max_size=3, unique=True),
+    cells=st.lists(st.lists(_field, min_size=3, max_size=3), max_size=4),
+)
+def test_table_round_trip(tmp_path_factory, header, cells):
+    path = str(tmp_path_factory.mktemp("table") / "t.csv")
+    rows = [row[: len(header)] for row in cells]
+    write_table(path, header, rows)
+    assert list(read_table(path)) == [dict(zip(header, row)) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(_short, st.one_of(_field, st.integers())), max_size=4))
+def test_records_round_trip(tmp_path_factory, records):
+    path = str(tmp_path_factory.mktemp("records") / "r.jsonl")
+    write_records(path, records)
+    assert list(read_records(path)) == records
 
 
 def test_records_are_sorted_one_per_line(tmp_path):

@@ -243,6 +243,28 @@ class TestClassifyRemote:
             classify_remote(config, [("w1", "p")], transport=transport, sleep=lambda s: None)
         assert len(attempts) == 1
 
+    def test_each_distinct_prompt_resolves_once(self, tmp_path):
+        pairs = [("w1", "prompt A"), ("w2", "prompt B"), ("w3", "prompt A"),
+                 ("w4", "prompt B"), ("w5", "prompt A")]
+        replies = {"prompt A": "ANOMALY", "prompt B": "no idea"}
+        calls = []
+
+        def transport(payload):
+            prompt = payload["messages"][0]["content"]
+            calls.append(prompt)
+            return _response(replies[prompt])
+
+        verdicts = classify_remote(_config(tmp_path / "once"), pairs, transport=transport)
+        assert calls == ["prompt A", "prompt B"]
+        assert [v.source for v in verdicts] == ["live", "live", "cache", "cache", "cache"]
+        # One call per window, sharing one cache, is the reference.
+        per_window = [
+            v
+            for pair in pairs
+            for v in classify_remote(_config(tmp_path / "each"), [pair], transport=transport)
+        ]
+        assert verdicts == per_window
+
     def test_unparseable_response_yields_none_label(self, tmp_path):
         config = _config(tmp_path)
         verdicts = classify_remote(
@@ -371,6 +393,21 @@ class TestLiveHTTP:
         verdicts = self._classify(tmp_path, server, timeout=0.2)
         assert verdicts[0].source == "live"
         assert len(server.seen) == 2
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"error": {"message": "overloaded"}}, {"choices": [{"message": {"content": 7}}]}],
+        ids=["error_object", "content_not_text"],
+    )
+    def test_reply_without_content_is_retried_and_never_cached(self, tmp_path, serve, body):
+        server = serve(_reply(200, body), OK)
+        verdicts = self._classify(tmp_path, server)
+        assert [(v.label, v.source) for v in verdicts] == [(1, "live")]
+        assert len(server.seen) == 2
+        [entry] = os.listdir(tmp_path / "cache")
+        assert json.loads((tmp_path / "cache" / entry).read_text())["response"] == (
+            _response("ANOMALY")
+        )
 
     def test_server_error_exhausts_retries(self, tmp_path, serve):
         server = serve(_reply(500))

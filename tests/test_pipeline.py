@@ -25,8 +25,10 @@ from seqguard.judge import (
     AuthMissing,
     EndpointUnavailable,
     build_prompt,
+    classify_remote,
     prompt_hash,
     vocab_template_table,
+    write_verdicts_jsonl,
 )
 from seqguard.losses import FocalParams
 from seqguard.model import load_checkpoint, vocab_manifest_hash
@@ -44,7 +46,7 @@ from seqguard.pipeline import (
     run_stage,
     stage_judge,
 )
-from seqguard.sessions import UNK_ID, read_windows_jsonl
+from seqguard.sessions import UNK_ID, LabeledWindow, read_windows_jsonl, write_windows_jsonl
 from seqguard.tensor import ShapeMismatch
 from seqguard.training import evaluate
 
@@ -236,6 +238,26 @@ class TestStageGraph:
             produced |= set(stage.outputs)
         assert produced - {"logs", "labels"} <= set(artifact_paths("out"))
 
+    def test_train_summary_counts_val_repeats(self, tmp_path):
+        config = _staged(tmp_path, through="dataset")
+        paths = artifact_paths(config.out_dir)
+        a, b, c, d = ([3, 4] + [0] * 6, [3, 5, 6] + [0] * 5, [4, 4, 4] + [0] * 5, [6] + [0] * 7)
+        train = [LabeledWindow("t0#0", a, 0), LabeledWindow("t1#0", a, 0),
+                 LabeledWindow("t2#0", b, 1)]
+        # a twice under both labels, b once, and two sequences train never saw.
+        val = [LabeledWindow("v0#0", a, 0), LabeledWindow("v1#0", a, 1),
+               LabeledWindow("v2#0", c, 0), LabeledWindow("v3#0", b, 1),
+               LabeledWindow("v4#0", d, 0)]
+        write_windows_jsonl(train, paths["train_windows"])
+        write_windows_jsonl(val, paths["val_windows"])
+        run_stage("train", config)
+        summary = load_json_file(paths["train_summary"])
+        assert summary["val_distinct_sequences"] == 4
+        assert summary["val_windows_seen_in_train"] == 3
+        run_stage("eval", config)
+        run_stage("compare", config)
+        assert run_stage("report", config)["train"]["val_windows_seen_in_train"] == 3
+
     def test_scores_are_the_best_epochs(self, tmp_path):
         # At this seed the second epoch does worse on val, so train keeps
         # epoch 1; a scores.csv of the last epoch would differ.
@@ -294,6 +316,33 @@ class TestResume:
         report = run_pipeline(config_from_dict(payload))
         assert report["stages_run"] == ["train", "eval", "compare", "report"]
         assert report["config"]["train"]["loss"] == "cross_entropy"
+
+    def test_rerun_hashes_each_stage_input_once(self, tmp_path, monkeypatch):
+        payload = _payload(tmp_path, train={"loss": "focal"})
+        run_pipeline(config_from_dict(payload))
+        payload["train"]["loss"] = "cross_entropy"
+        config = config_from_dict(payload)
+        hashed = Counter()
+        real = pipeline._file_sha256
+
+        def counting(path):
+            hashed[os.path.basename(path)] += 1
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "_file_sha256", counting)
+        assert run_pipeline(config)["stages_run"] == ["train", "eval", "compare", "report"]
+        # One digest per input of each keyed stage, stale or current, and the
+        # report's digest of the split manifest.
+        files = dict(artifact_paths(config.out_dir), logs=config.logs, labels=config.labels)
+        expected = Counter(
+            os.path.basename(files[name])
+            for stage in GRAPH[:-1]
+            if stage.name != "judge"
+            for name in stage.inputs
+            if os.path.exists(files[name])
+        )
+        expected["split_manifest.json"] += 1
+        assert hashed == expected
 
     @pytest.mark.parametrize(
         "before, after",
@@ -437,6 +486,33 @@ class TestJudgeStage:
         assert float(judge_row["f1"]) == 1.0
         assert judge_row["unparseable"] == "0"
 
+    def test_verdicts_match_one_lookup_per_window(self, tmp_path, monkeypatch):
+        config = _staged(tmp_path, through="dataset")
+        fixtures = str(tmp_path / "fixtures")
+        answers = ["ANOMALY", "NORMAL", "cannot tell", "normal, or an anomaly"]
+        _write_fixtures(config, fixtures, lambda w: answers[sum(w.event_ids) % 4])
+        judged = replace(config, judge=replace(config.judge, enabled=True, fixtures=fixtures))
+        built = []
+        monkeypatch.setattr(
+            pipeline, "build_prompt", lambda *args: built.append(1) or build_prompt(*args)
+        )
+        run_stage("judge", judged)
+
+        paths = artifact_paths(config.out_dir)
+        table = vocab_template_table(load_templates(paths["templates"]))
+        windows = read_windows_jsonl(paths["val_windows"], 8)
+        distinct = {tuple(w.event_ids) for w in windows}
+        assert len(built) == len(distinct) < len(windows)
+        per_window = [
+            v
+            for w in windows
+            for v in classify_remote(judged.judge, [(w.window_id, build_prompt(w, table))])
+        ]
+        reference = str(tmp_path / "per_window.jsonl")
+        write_verdicts_jsonl(reference, per_window)
+        with open(paths["verdicts"], "rb") as a, open(reference, "rb") as b:
+            assert a.read() == b.read()
+
     def test_missing_fixture_is_a_stage_error(self, tmp_path):
         config = config_from_dict(_payload(tmp_path))
         run_pipeline(config)
@@ -548,6 +624,16 @@ class TestCli:
         for stage in ("parse", "sessionize", "dataset", "train", "eval", "compare", "report"):
             assert main([stage, "--config", cfg]) == 0, stage
             assert capsys.readouterr().out.startswith(f"ok {stage}:")
+
+    def test_long_log_message_reads_back(self, tmp_path):
+        cfg = self._config_file(tmp_path, n_sessions=60, n_anomalous=4)
+        message = "Receiving block blk_1000 payload " + "x" * 140_000
+        with open(tmp_path / "hdfs.log", "a", encoding="utf-8") as handle:
+            handle.write(f"081109 203615 143 INFO dfs.DataNode$DataXceiver: {message}\n")
+        for stage in ("parse", "sessionize", "dataset"):
+            assert main([stage, "--config", cfg]) == 0, stage
+        templates = load_templates(str(tmp_path / "out" / "templates.csv"))
+        assert max(len(" ".join(t.tokens)) for t in templates) > 140_000
 
     def test_parse_output_mentions_counts(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path, n_sessions=60, n_anomalous=4)

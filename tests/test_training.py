@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqguard.losses import LOSS_CROSS_ENTROPY, LOSS_FOCAL, FocalParams
+from seqguard.losses import LOSS_CROSS_ENTROPY, LOSS_FOCAL, FocalParams, classification_loss
+from seqguard.metrics import full_report
 from seqguard.model import ModelConfig, ModelParams, classifier_logits, last_real_index
 from seqguard.optim import Diverged, lr_schedule
-from seqguard.sessions import DatasetSplit, LabeledWindow
+from seqguard.sessions import PAD_ID, DatasetSplit, LabeledWindow
 from seqguard.tensor import Tape
 from seqguard.training import (
     EmptySplit,
@@ -237,6 +240,101 @@ class TestEvaluate:
     def test_empty_raises(self):
         with pytest.raises(EmptySplit):
             evaluate(_toy_model(), [], LOSS_FOCAL, FocalParams())
+
+
+def _evaluate_per_window(params, windows, loss_kind, focal, batch_size=32):
+    """The model run once per window, ``batch_size`` windows at a time: the
+    loop ``evaluate`` replaced, kept as its reference."""
+    scores = np.zeros(len(windows))
+    loss_total = 0.0
+    for lo in range(0, len(windows), batch_size):
+        chunk = windows[lo : lo + batch_size]
+        tape = Tape(record=False)
+        logits = classifier_logits(
+            tape,
+            params,
+            np.array([w.event_ids for w in chunk], dtype=np.int64),
+            np.array([last_real_index(w.event_ids) for w in chunk], dtype=np.int64),
+        )
+        labels = np.array([w.label for w in chunk], dtype=np.int64)
+        loss = classification_loss(tape, logits, labels, loss_kind, focal)
+        loss_total += loss.item() * len(chunk)
+        scores[lo : lo + len(chunk)] = tape.softmax_rows(logits).data[:, 1]
+    report = full_report(list(scores), [w.label for w in windows])
+    return report, loss_total / len(windows), scores
+
+
+# One event-id row: 1 to 8 real ids (3..9), then padding to length 8.
+_rows = st.lists(st.integers(3, 9), min_size=1, max_size=8).map(
+    lambda ids: tuple(ids + [PAD_ID] * (8 - len(ids)))
+)
+
+
+@st.composite
+def _windows_with_repeats(draw):
+    """Windows drawn with replacement from a small pool of rows, each with
+    its own label, so a row can repeat under one label or both."""
+    pool = draw(st.lists(_rows, min_size=1, max_size=12, unique=True))
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, len(pool) - 1), st.integers(0, 1)), min_size=1, max_size=40
+    ))
+    return [
+        LabeledWindow(f"w{i}#0", list(pool[row]), label, pool[row].count(PAD_ID))
+        for i, (row, label) in enumerate(picks)
+    ]
+
+
+class TestEvaluateDistinctRows:
+    PARAMS = _toy_model(seed=11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        windows=_windows_with_repeats(),
+        batch_size=st.sampled_from([1, 2, 3, 5, 8, 32]),
+        loss_kind=st.sampled_from([LOSS_FOCAL, LOSS_CROSS_ENTROPY]),
+    )
+    def test_matches_per_window_scoring(self, windows, batch_size, loss_kind):
+        _, loss, scores = evaluate(
+            self.PARAMS, windows, loss_kind, FocalParams(), batch_size=batch_size
+        )
+        _, ref_loss, ref_scores = _evaluate_per_window(
+            self.PARAMS, windows, loss_kind, FocalParams(), batch_size
+        )
+        assert np.max(np.abs(scores - ref_scores)) <= 1e-15
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(_rows, min_size=1, max_size=40, unique=True),
+        labels=st.lists(st.integers(0, 1), min_size=40, max_size=40),
+        batch_size=st.sampled_from([1, 3, 8, 32]),
+        loss_kind=st.sampled_from([LOSS_FOCAL, LOSS_CROSS_ENTROPY]),
+    )
+    def test_distinct_rows_are_bitwise_equal(self, rows, labels, batch_size, loss_kind):
+        windows = [
+            LabeledWindow(f"w{i}#0", list(row), label, row.count(PAD_ID))
+            for i, (row, label) in enumerate(zip(rows, labels))
+        ]
+        _, loss, scores = evaluate(
+            self.PARAMS, windows, loss_kind, FocalParams(), batch_size=batch_size
+        )
+        _, ref_loss, ref_scores = _evaluate_per_window(
+            self.PARAMS, windows, loss_kind, FocalParams(), batch_size
+        )
+        assert np.array_equal(scores, ref_scores)
+        assert loss == ref_loss
+
+    def test_one_row_under_both_labels(self):
+        row = [4, 5, 6, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
+        windows = [LabeledWindow(f"w{i}#0", row, i % 2, 5) for i in range(4)]
+        report, loss, scores = evaluate(self.PARAMS, windows, LOSS_FOCAL, FocalParams())
+        assert np.all(scores == scores[0])
+        _, ref_loss, ref_scores = _evaluate_per_window(
+            self.PARAMS, windows, LOSS_FOCAL, FocalParams()
+        )
+        assert np.max(np.abs(scores - ref_scores)) <= 1e-15
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert report.counts.tp + report.counts.fn == 2
 
 
 class TestCsvExports:
