@@ -4,7 +4,7 @@
 are the pipeline stages (parse, sessionize, dataset, train, eval, judge,
 compare, report), ``run`` for the whole pipeline, and ``ablate`` for the
 three-arm comparison. Exit codes: 0 success, 1 usage or configuration
-error, 2 data error, 3 internal failure.
+error, 2 data error or diverged training, 3 internal failure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Optional
 from .artifacts import load_json_file
 from .config import ARMS, apply_overrides, config_from_dict
 from .judge import AuthMissing, EndpointUnavailable
+from .optim import Diverged
 from .pipeline import STAGES, StageError, run_ablation, run_pipeline, run_stage
 from .tensor import ShapeMismatch
 
@@ -127,8 +128,12 @@ def _resolve_config(args: argparse.Namespace):
 
 
 # Bad or missing inputs, and failures from outside the program: a missing
-# judge fixture or API key, or an endpoint that is down or refuses.
-_DATA_ERRORS = (OSError, ValueError, KeyError, EOFError, AuthMissing, EndpointUnavailable)
+# judge fixture or API key, or an endpoint that is down or refuses. A model
+# that diverged under the given settings counts too, as do its non-finite
+# scores (a ValueError).
+_DATA_ERRORS = (
+    OSError, ValueError, KeyError, EOFError, AuthMissing, EndpointUnavailable, Diverged
+)
 
 
 def _exit_code_for(cause: BaseException) -> int:

@@ -22,24 +22,51 @@ WILDCARD = "<*>"
 DEFAULT_HEADER_PATTERN = r"^(?P<date>\d+)\s+(?P<time>\d+)\s+(?P<pid>\d+)\s+(?P<level>\S+)\s+(?P<component>\S+):\s*(?P<content>.*)$"
 
 _ADJACENT_OK = set("0123456789_-.")
+_HAS_DIGIT = re.compile(r"[0-9]")
+_DIGIT_TOUCHES_OTHER = re.compile(r"[0-9][^0-9_.\-]|[^0-9_.\-][0-9]")
+
+# Entries at which parse_stream's token mask memo and a tree's exact-repeat
+# memo are cleared, to bound their memory.
+MASK_MEMO_LIMIT = 4096
+MATCH_MEMO_LIMIT = 4096
 
 
 class LengthMismatch(ValueError):
     """Raised when two token lists of different lengths are compared."""
 
 
-def mask_numeric_tokens(tokens: list[str]) -> list[str]:
+def mask_numeric_tokens(tokens: list[str], memo: Optional[dict[str, str]] = None) -> list[str]:
     """Replace numeric-bearing tokens with the wildcard.
 
     A token is masked when it contains at least one digit and every
     character adjacent to a digit is itself a digit, ``_``, ``-`` or ``.``.
     This catches counters, sizes, block ids and dotted numbers while
     leaving mixed identifiers (``/10.1.2.3``, ``attempt7a``) alone.
+
+    ``memo``, when given, maps tokens already seen to their masked form; it
+    is cleared whenever it reaches ``MASK_MEMO_LIMIT`` entries, since block
+    ids, addresses and sizes rarely repeat.
     """
+    if memo is None:
+        return [WILDCARD if _is_numeric(tok) else tok for tok in tokens]
     out = []
     for tok in tokens:
-        out.append(WILDCARD if _is_numeric_token(tok) else tok)
+        masked = memo.get(tok)
+        if masked is None:
+            if len(memo) >= MASK_MEMO_LIMIT:
+                memo.clear()
+            masked = memo[tok] = WILDCARD if _is_numeric(tok) else tok
+        out.append(masked)
     return out
+
+
+def _is_numeric(tok: str) -> bool:
+    # For an ASCII character str.isdigit() holds only for 0-9, so the two
+    # regexes decide exactly what _is_numeric_token does. Not \d: it would
+    # differ from isdigit() on characters such as '²'.
+    if tok.isascii():
+        return _HAS_DIGIT.search(tok) is not None and _DIGIT_TOUCHES_OTHER.search(tok) is None
+    return _is_numeric_token(tok)
 
 
 def _is_numeric_token(tok: str) -> bool:
@@ -127,6 +154,13 @@ class ParseTree:
     max_children: int = 100
     _root: _Node = field(default_factory=_Node, repr=False)
     _templates: list[EventTemplate] = field(default_factory=list, repr=False)
+    # Token tuple -> the template parse_line last chose for it. The choice
+    # depends only on the tokens and on every template's tokens and order,
+    # so an entry stays right until a template is inserted or a merge
+    # changes a template's tokens; both clear the whole memo.
+    _matches: dict[tuple[str, ...], EventTemplate] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         check_tree(self.depth, self.sim_threshold, self.max_children)
@@ -142,14 +176,24 @@ class ParseTree:
 
     def parse_line(self, content_tokens: list[str]) -> int:
         """Route one masked token list through the tree; returns its event id."""
+        key = tuple(content_tokens)
+        best = self._matches.get(key)
+        if best is not None:
+            # Merging the same tokens into the same template again changes
+            # nothing but the count.
+            best.match_count += 1
+            return best.event_id
         leaf = self._search_leaf(content_tokens)
         best = self._best_match(leaf, content_tokens) if leaf is not None else None
         if best is None:
             template = EventTemplate(event_id=len(self._templates), tokens=list(content_tokens))
             self._templates.append(template)
             self._insert(template)
+            self._matches.clear()
             return template.event_id
-        self._merge(best, content_tokens)
+        if self._merge(best, content_tokens) or len(self._matches) >= MATCH_MEMO_LIMIT:
+            self._matches.clear()
+        self._matches[key] = best
         return best.event_id
 
     def _search_leaf(self, tokens: list[str]) -> Optional[_Node]:
@@ -204,13 +248,16 @@ class ParseTree:
         return len(node.children) + 1 == self.max_children and WILDCARD in node.children
 
     @staticmethod
-    def _merge(template: EventTemplate, tokens: list[str]) -> None:
+    def _merge(template: EventTemplate, tokens: list[str]) -> bool:
+        """Widen the template to cover ``tokens``; True when its tokens changed."""
         merged = [
             t if t == tok or t == WILDCARD else WILDCARD
             for t, tok in zip(template.tokens, tokens)
         ]
+        changed = merged != template.tokens
         template.tokens = merged
         template.match_count += 1
+        return changed
 
 
 @dataclass(slots=True)
@@ -247,19 +294,18 @@ def parse_stream(
     pattern = compile_header_pattern(header_pattern)
     lines: list[StructuredLine] = []
     rejects: list[tuple[int, str]] = []
+    masks: dict[str, str] = {}
     for line_number, raw in enumerate(stream, start=1):
         raw = raw.rstrip("\n")
-        if not raw:
-            rejects.append((line_number, raw))
-            continue
         m = pattern.match(raw)
-        if m is None or not m.group("content").split():
+        # An optional content group that took no part in the match is None.
+        content = m.group("content") if m is not None else None
+        words = content.split() if content else None
+        if not words:
             rejects.append((line_number, raw))
             continue
-        content = m.group("content")
         block_id = block_id_extractor(content) if block_id_extractor else None
-        tokens = mask_numeric_tokens(content.split())
-        event_id = tree.parse_line(tokens)
+        event_id = tree.parse_line(mask_numeric_tokens(words, masks))
         lines.append(StructuredLine(line_number, event_id, block_id or ""))
     return ParseResult(tree=tree, lines=lines, rejects=rejects)
 
@@ -271,7 +317,8 @@ def parse_file(
     block_id_extractor=None,
 ) -> ParseResult:
     try:
-        with open(log_path, "r", encoding="utf-8") as handle:
+        # utf-8-sig: a leading byte-order mark is not part of line 1.
+        with open(log_path, "r", encoding="utf-8-sig") as handle:
             return parse_stream(handle, tree, header_pattern, block_id_extractor)
     except OSError as exc:
         raise OSError(f"cannot read log file {log_path}: {exc}") from exc

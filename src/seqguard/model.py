@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .artifacts import dump_json_file, load_json_file
-from .optim import AdamW, Diverged, clip_gradients
+from .optim import AdamW, Diverged, check_finite, clip_gradients
 from .sessions import PAD_ID
 from .tensor import ShapeMismatch, Tape, Tensor
 
@@ -364,6 +364,7 @@ def pretrain_lm(
         tape.backward(loss)
         clip_gradients(params.parameters(), max_grad_norm)
         optimizer.step(lr)
+        check_finite(params.parameters(), f"pretraining step {len(losses) + 1}")
         losses.append(value)
 
     final = held_out_lm_loss(params, holdout) if holdout else float("nan")

@@ -15,7 +15,8 @@ class NonFiniteGradient(ArithmeticError):
 
 
 class Diverged(RuntimeError):
-    """Optimization produced non-finite losses repeatedly and cannot continue."""
+    """Optimization produced non-finite parameters, or non-finite losses
+    repeatedly, and cannot continue."""
 
 
 def lr_schedule(step: int, total_steps: int, peak_lr: float, warmup_fraction: float) -> float:
@@ -33,6 +34,14 @@ def lr_schedule(step: int, total_steps: int, peak_lr: float, warmup_fraction: fl
     if total_steps == warmup:
         return peak_lr
     return peak_lr * (total_steps - step) / (total_steps - warmup)
+
+
+def check_finite(params: Sequence[Tensor], when: str) -> None:
+    """Raise Diverged when a parameter holds a NaN or an infinity: the
+    weights are lost, and no later step can recover them."""
+    for p in params:
+        if not np.isfinite(p.data).all():
+            raise Diverged(f"{p.name or 'a parameter'} is not finite after {when}")
 
 
 def global_grad_norm(params: Sequence[Tensor]) -> float:

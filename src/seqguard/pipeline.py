@@ -6,8 +6,9 @@ stages, so each is independently re-runnable. The model runs only in
 ``train``, which writes the val scores of the epoch it selects; ``eval``
 turns those scores into metrics. All artifacts live under the configured
 output directory. ``GRAPH`` lists each stage with the config it reads
-and the files it reads and writes; a stage's key hashes
-that config slice and the contents of its input files. ``run_stage``
+and the files it reads and writes; a stage's key hashes that config slice
+and the contents of its input files, and for the judge also every file of
+the fixture or cache directory it reads replies from. ``run_stage``
 records the key of every stage that succeeds in ``stage_keys.json``, and
 ``run_pipeline`` skips a stage whose recorded key still matches and whose
 outputs all exist, so a rerun repeats only what its changes touch. The
@@ -46,6 +47,7 @@ from .drain import (
 )
 from .judge import (
     DEFAULT_PROMPT_TEMPLATE,
+    JudgeConfig,
     build_prompt,
     classify_remote,
     compare,
@@ -184,11 +186,13 @@ def _load_line_contents(logs_path: str, header_pattern: str) -> dict[int, str]:
     """Pre-masking message text per accepted line number, for raw-token inputs."""
     pattern = compile_header_pattern(header_pattern)
     contents: dict[int, str] = {}
-    with open(logs_path, "r", encoding="utf-8") as handle:
+    # utf-8-sig, as parse_file reads it, so that line numbers and text agree.
+    with open(logs_path, "r", encoding="utf-8-sig") as handle:
         for line_number, raw in enumerate(handle, start=1):
             m = pattern.match(raw.rstrip("\n"))
-            if m is not None and m.group("content").split():
-                contents[line_number] = m.group("content")
+            content = m.group("content") if m is not None else None
+            if content and content.split():
+                contents[line_number] = content
     return contents
 
 
@@ -394,6 +398,21 @@ def stage_eval(config: ExperimentConfig) -> dict:
     return payload
 
 
+def _judge_config(config: ExperimentConfig) -> JudgeConfig:
+    return replace(
+        config.judge,
+        cache_dir=config.judge.cache_dir or os.path.join(config.out_dir, "judge_cache"),
+    )
+
+
+def _judge_replies(config: ExperimentConfig) -> str:
+    """The directory the judge reads its replies from: the fixtures when
+    set, which it never writes, else the response cache, which live replies
+    are added to."""
+    jconfig = _judge_config(config)
+    return jconfig.fixtures or jconfig.cache_dir
+
+
 def stage_judge(config: ExperimentConfig, transport=None) -> dict:
     paths = artifact_paths(config.out_dir)
     vocab = load_json_file(paths["vocab"])
@@ -404,10 +423,7 @@ def stage_judge(config: ExperimentConfig, transport=None) -> dict:
     templates = load_templates(paths["templates"])
     table = vocab_template_table(templates)
     val_windows = read_windows_jsonl(paths["val_windows"], vocab["window_length"])
-    jconfig = replace(
-        config.judge,
-        cache_dir=config.judge.cache_dir or os.path.join(config.out_dir, "judge_cache"),
-    )
+    jconfig = _judge_config(config)
     template = config.judge.prompt_template or DEFAULT_PROMPT_TEMPLATE
     by_sequence: dict[tuple[int, ...], str] = {}  # each distinct sequence's prompt
     prompts = []
@@ -516,13 +532,17 @@ class Stage:
     """One node of the stage graph. ``reads`` returns the config slice the
     stage depends on (never ``out_dir``); ``inputs`` and ``outputs`` name
     files by their ``artifact_paths`` key, and ``logs``/``labels`` name the
-    input files. A stage without ``reads`` has no key and always runs."""
+    input files. ``directory``, when set, returns a directory whose files
+    the stage also reads; its key covers their names and contents, and is
+    taken after the stage ran, since the stage may add files there. A stage
+    without ``reads`` has no key and always runs."""
 
     name: str
     func: Callable[..., dict]
     reads: Optional[Callable[[ExperimentConfig], object]]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
+    directory: Optional[Callable[[ExperimentConfig], str]] = None
 
 
 GRAPH = (
@@ -545,7 +565,7 @@ GRAPH = (
           ("vocab", "val_windows", "scores", "train_summary"),
           ("eval_metrics", "roc", "confusion")),
     Stage("judge", stage_judge, lambda c: c.judge, ("vocab", "templates", "val_windows"),
-          ("verdicts",)),
+          ("verdicts",), directory=_judge_replies),
     Stage("compare", stage_compare, lambda c: [c.judge.model, c.train.threshold],
           ("vocab", "val_windows", "scores", "verdicts"), ("comparison",)),
     Stage("report", stage_report, None,
@@ -568,6 +588,20 @@ def _stage_key(stage: Stage, config: ExperimentConfig) -> str:
         path = files[name]
         content = _file_sha256(path) if os.path.exists(path) else "absent"
         digest.update(f"\n{name}:{content}".encode("utf-8"))
+    if stage.directory is not None:
+        digest.update(f"\ndirectory:{_directory_sha256(stage.directory(config))}".encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _directory_sha256(path: str) -> str:
+    """sha256 of the sorted names and contents of a directory's files."""
+    if not os.path.isdir(path):
+        return "absent"
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        file = os.path.join(path, name)
+        if os.path.isfile(file):
+            digest.update(f"{name}:{_file_sha256(file)}\n".encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -593,17 +627,20 @@ def _has_recorded_outputs(stage: Stage, config: ExperimentConfig, recorded: dict
 
 def run_stage(name: str, config: ExperimentConfig, key: Optional[str] = None, **kwargs) -> dict:
     """Run one stage and record its key once it succeeds; ``key``, when
-    given, is the stage's key as the caller just computed it. The old key is
-    cleared first, so outputs a failing stage left half written are never
-    taken as current."""
+    given, is the stage's key as the caller just computed it; a stage with a
+    ``directory`` takes its key after it ran. The old key is cleared first,
+    so outputs a failing stage left half written are never taken as
+    current."""
     try:
         stage = _BY_NAME[name]
         if stage.reads is None:
             return stage.func(config, **kwargs)
-        if key is None:
+        if key is None and stage.directory is None:
             key = _stage_key(stage, config)
         _record_key(config.out_dir, name, None)
         result = stage.func(config, **kwargs)
+        if stage.directory is not None:
+            key = _stage_key(stage, config)
         _record_key(config.out_dir, name, key)
         return result
     except StageError:

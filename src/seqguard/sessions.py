@@ -105,7 +105,8 @@ def load_label_table(path: str) -> dict[str, int]:
     """Read ``BlockId,Label`` CSV with Label in {Normal, Anomaly}."""
     table: dict[str, int] = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig: a leading byte-order mark is not part of the header.
+        with open(path, "r", encoding="utf-8-sig") as handle:
             header = handle.readline().strip()
             if header.replace(" ", "") != "BlockId,Label":
                 raise ValueError(f"unexpected label file header in {path}: {header!r}")

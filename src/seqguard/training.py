@@ -3,7 +3,8 @@
 One optimizer step consumes grad_accum_steps micro-batches; the logged
 loss for the step is the size-weighted mean over the group so the curve
 is comparable across uneven final groups. Non-finite losses skip the
-step and abort after three consecutive skips.
+step and abort after three consecutive skips; a step that leaves a
+parameter non-finite aborts at once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from .artifacts import write_table
 from .losses import LOSS_CROSS_ENTROPY, LOSS_FOCAL, FocalParams, classification_loss
 from .metrics import DEFAULT_THRESHOLD, MetricsReport, NonFiniteScore, full_report
 from .model import ModelParams, classifier_logits, last_real_index
-from .optim import AdamW, Diverged, NonFiniteGradient, clip_gradients, lr_schedule
+from .optim import (
+    AdamW,
+    Diverged,
+    NonFiniteGradient,
+    check_finite,
+    clip_gradients,
+    lr_schedule,
+)
 from .sessions import DatasetSplit, LabeledWindow
 from .tensor import Tape, Tensor
 
@@ -253,6 +261,7 @@ def train(
 
             consecutive_skips = 0
             optimizer.step(lr)
+            check_finite(params.parameters(), f"step {step}")
             curve.append(CurvePoint(step=step, loss=group_loss, lr=lr))
 
         try:

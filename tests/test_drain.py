@@ -6,16 +6,22 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seqguard import drain
 from seqguard.drain import (
     WILDCARD,
     ParseTree,
+    _is_numeric,
+    _is_numeric_token,
     export_structured,
     export_templates,
     load_structured,
     load_templates,
     mask_numeric_tokens,
     parse_file,
+    parse_stream,
     seq_similarity,
 )
 from seqguard.sessions import extract_block_id
@@ -56,6 +62,39 @@ class TestMasking:
         tokens = "Receiving block blk_99 src 10.0.0.2 dest 10.0.0.3".split()
         once = mask_numeric_tokens(tokens)
         assert mask_numeric_tokens(once) == once
+
+
+# Digits of several scripts next to the characters the mask treats as
+# separators: '²' and Arabic-Indic digits are isdigit() but not [0-9].
+_MASK_ALPHABET = list("0123456789_.-ax/:") + ["²", "٣", "٤", "é", "\u00a0"]
+_mask_tokens = st.one_of(
+    st.text(alphabet=_MASK_ALPHABET, max_size=12),
+    st.text(max_size=12),
+)
+
+
+class TestMaskMemo:
+    @settings(max_examples=400, deadline=None)
+    @given(_mask_tokens)
+    def test_fast_test_equals_character_scan(self, tok):
+        assert _is_numeric(tok) == _is_numeric_token(tok)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(_mask_tokens, max_size=6), max_size=20))
+    def test_memoized_mask_equals_plain_mask(self, lines):
+        # A tiny limit, so the memo is cleared between and within lines.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(drain, "MASK_MEMO_LIMIT", 3)
+            memo: dict[str, str] = {}
+            for tokens in lines:
+                expected = [WILDCARD if _is_numeric_token(t) else t for t in tokens]
+                assert mask_numeric_tokens(tokens, memo) == expected
+                assert mask_numeric_tokens(tokens) == expected
+                assert len(memo) <= 3
+
+    @pytest.mark.parametrize("tok", ["²", "1²", "٣", "٣.٤", "x٣", "1_٣"])
+    def test_unicode_digits_follow_isdigit(self, tok):
+        assert _is_numeric(tok) == _is_numeric_token(tok)
 
 
 class TestSimilarity:
@@ -150,6 +189,91 @@ class TestTree:
             ParseTree(max_children=0)
 
 
+class _ReferenceTree(ParseTree):
+    """The tree without the exact-repeat memo: every line searches and merges."""
+
+    def parse_line(self, content_tokens):
+        leaf = self._search_leaf(content_tokens)
+        best = self._best_match(leaf, content_tokens) if leaf is not None else None
+        if best is None:
+            template = drain.EventTemplate(
+                event_id=len(self._templates), tokens=list(content_tokens)
+            )
+            self._templates.append(template)
+            self._insert(template)
+            return template.event_id
+        self._merge(best, content_tokens)
+        return best.event_id
+
+
+# Three words and the wildcard over one to four positions: lines often tie at
+# similarity 1.0, merge, differ in length and overflow a small fan-out.
+_tiny_lines = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", WILDCARD]), min_size=1, max_size=4),
+    max_size=60,
+)
+
+
+class TestExactRepeatMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _tiny_lines,
+        st.sampled_from([3, 4, 5]),
+        st.sampled_from([0.2, 0.5, 0.75, 0.9]),
+        st.sampled_from([1, 2, 3, 100]),
+        st.sampled_from([1, 2, 4096]),
+    )
+    def test_memo_matches_reference(self, lines, depth, sim, max_children, limit):
+        settings_ = dict(depth=depth, sim_threshold=sim, max_children=max_children)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(drain, "MATCH_MEMO_LIMIT", limit)
+            fast, slow = ParseTree(**settings_), _ReferenceTree(**settings_)
+            assert [fast.parse_line(t) for t in lines] == [slow.parse_line(t) for t in lines]
+            assert len(fast._matches) <= limit
+        assert [(t.event_id, t.tokens, t.match_count) for t in fast.templates] == [
+            (t.event_id, t.tokens, t.match_count) for t in slow.templates
+        ]
+
+    def test_earlier_template_widened_to_a_tie_wins(self):
+        # "a b b" is remembered as template 1. Then "a z z" widens template 0
+        # to "a <*> <*>", which ties template 1 at similarity 1.0 and, being
+        # first in the leaf, takes the next "a b b".
+        lines = [s.split() for s in ("a x y", "a b b", "a b b", "a b y", "a b b", "a z z", "a b b")]
+        fast, slow = (cls(depth=3, sim_threshold=0.6) for cls in (ParseTree, _ReferenceTree))
+        ids = [fast.parse_line(t) for t in lines]
+        assert ids == [slow.parse_line(t) for t in lines] == [0, 1, 1, 0, 1, 0, 0]
+        assert [t.tokens for t in fast.templates] == [t.tokens for t in slow.templates]
+
+    def test_new_child_reroutes_a_remembered_line(self):
+        # "x q" first reaches template 0 through the leading wildcard child.
+        # Inserting "x z" adds an "x" child, so the next "x q" goes there
+        # and, below the threshold against "x z", founds template 2.
+        lines = [s.split() for s in ("<*> q", "x q", "x q", "x z", "x q")]
+        fast, slow = (cls(depth=3, sim_threshold=0.9) for cls in (ParseTree, _ReferenceTree))
+        ids = [fast.parse_line(t) for t in lines]
+        assert ids == [slow.parse_line(t) for t in lines] == [0, 0, 0, 1, 2]
+
+    def test_lines_identical_after_masking_search_once(self, monkeypatch):
+        calls = []
+        best_match = ParseTree._best_match
+
+        def counted(self, leaf, tokens):
+            calls.append(tokens)
+            return best_match(self, leaf, tokens)
+
+        monkeypatch.setattr(ParseTree, "_best_match", counted)
+        stream = [
+            f"081109 203615 {i} INFO dfs.DataNode: Received block blk_{i} of size {7 * i}\n"
+            for i in range(50)
+        ]
+        result = parse_stream(stream, ParseTree())
+        assert [row.event_id for row in result.lines] == [0] * 50
+        assert result.templates[0].match_count == 50
+        # The first line founds the template; the second searches and is
+        # remembered; the other 48 are memo hits.
+        assert len(calls) == 1
+
+
 class TestGoldenCorpus:
     def test_fixture_parse_matches_golden_table(self):
         result = parse_file(str(SAMPLE_LOG), ParseTree())
@@ -196,6 +320,22 @@ class TestGoldenCorpus:
         assert [(t.event_id, t.match_count, t.tokens) for t in loaded] == [
             (t.event_id, t.match_count, t.tokens) for t in result.templates
         ]
+
+    def test_byte_order_mark_is_not_part_of_line_one(self, tmp_path):
+        path = tmp_path / "bom.log"
+        path.write_bytes(b"\xef\xbb\xbf" + SAMPLE_LOG.read_bytes())
+        plain = parse_file(str(SAMPLE_LOG), ParseTree(), block_id_extractor=extract_block_id)
+        marked = parse_file(str(path), ParseTree(), block_id_extractor=extract_block_id)
+        assert marked.lines[0].line_number == 1
+        assert marked.lines == plain.lines and marked.rejects == plain.rejects
+        assert [t.tokens for t in marked.templates] == [t.tokens for t in plain.templates]
+
+    def test_message_absent_from_match_is_rejected(self):
+        # The optional content group takes no part in matching "" or "42".
+        stream = ["\n", "42\n", "42 send ok\n"]
+        result = parse_stream(stream, ParseTree(), header_pattern=r"^\d+(?: (?P<content>.+))?$")
+        assert result.rejects == [(1, ""), (2, "42")]
+        assert [row.line_number for row in result.lines] == [3]
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

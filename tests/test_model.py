@@ -384,6 +384,12 @@ class TestPretrain:
             with pytest.raises(Diverged):
                 pretrain_lm(params, self._corpus(), steps=5, lr=1e-3, seed=0)
 
+    def test_non_finite_parameters_raise_diverged(self):
+        params = tiny_model(seed=1)
+        with np.errstate(all="ignore"):
+            with pytest.raises(Diverged, match="not finite after pretraining step 1$"):
+                pretrain_lm(params, self._corpus(), steps=5, lr=1e300, weight_decay=1e10, seed=0)
+
     def test_deterministic(self):
         results = []
         for _ in range(2):

@@ -9,7 +9,9 @@ import pytest
 
 from seqguard.optim import (
     AdamW,
+    Diverged,
     NonFiniteGradient,
+    check_finite,
     clip_gradients,
     global_grad_norm,
     lr_schedule,
@@ -105,6 +107,17 @@ class TestClipping:
     def test_missing_grads_skipped(self):
         p = Tensor(np.zeros((1, 2)), requires_grad=True)
         assert clip_gradients([p], max_norm=1.0) == 0.0
+
+
+class TestCheckFinite:
+    def test_finite_parameters_pass(self):
+        check_finite([Tensor(np.full((2, 2), 1e300), name="w")], "step 1")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameter_is_named(self, bad):
+        params = [Tensor(np.zeros(3), name="ok"), Tensor(np.array([0.0, bad]), name="w")]
+        with pytest.raises(Diverged, match="^w is not finite after step 7$"):
+            check_finite(params, "step 7")
 
 
 class TestAdamW:

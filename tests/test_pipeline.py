@@ -25,6 +25,7 @@ from seqguard.judge import (
     AuthMissing,
     EndpointUnavailable,
     build_prompt,
+    cache_key,
     classify_remote,
     prompt_hash,
     vocab_template_table,
@@ -398,6 +399,112 @@ class TestResume:
         assert excinfo.value.stage == "report"
 
 
+class TestJudgeReuse:
+    """The judge's key covers the fixture or cache files it reads replies from."""
+
+    def _judged(self, tmp_path):
+        config = config_from_dict(_payload(tmp_path, n_sessions=60, n_anomalous=4))
+        run_pipeline(config)
+        fixtures = str(tmp_path / "fixtures")
+        _write_fixtures(config, fixtures, lambda w: "NORMAL")
+        return replace(config, judge=replace(config.judge, enabled=True, fixtures=fixtures))
+
+    def test_rewritten_fixtures_rerun_the_judge(self, tmp_path):
+        judged = self._judged(tmp_path)
+        assert run_pipeline(judged)["stages_run"] == ["judge", "compare", "report"]
+        assert run_pipeline(judged)["stages_run"] == ["report"]
+        verdicts = artifact_paths(judged.out_dir)["verdicts"]
+        before = open(verdicts, "rb").read()
+        fixtures = judged.judge.fixtures
+        for name in os.listdir(fixtures):
+            body = {"choices": [{"message": {"content": "ANOMALY"}}]}
+            with open(os.path.join(fixtures, name), "w") as handle:
+                json.dump(body, handle)
+        assert run_pipeline(judged)["stages_run"] == ["judge", "compare", "report"]
+        after = open(verdicts, "rb").read()
+        assert after != before
+        assert b'"label": 0' not in after
+
+    def test_deleted_cache_entry_reruns_the_judge(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SEQGUARD_API_KEY", raising=False)
+        judged = self._judged(tmp_path)
+        # Turn the fixtures into the run's response cache.
+        cache = os.path.join(judged.out_dir, "judge_cache")
+        os.makedirs(cache)
+        table = vocab_template_table(load_templates(artifact_paths(judged.out_dir)["templates"]))
+        for w in read_windows_jsonl(artifact_paths(judged.out_dir)["val_windows"], 8):
+            prompt = build_prompt(w, table)
+            record = {"model": judged.judge.model, "prompt_sha256": prompt_hash(prompt),
+                      "response": {"choices": [{"message": {"content": "NORMAL"}}]}}
+            dump_json_file(os.path.join(cache, f"{cache_key(judged.judge.model, prompt)}.json"),
+                           record)
+        cached = replace(judged, judge=replace(judged.judge, fixtures=None))
+        assert run_pipeline(cached)["stages_run"] == ["judge", "compare", "report"]
+        assert run_pipeline(cached)["stages_run"] == ["report"]
+        os.remove(os.path.join(cache, sorted(os.listdir(cache))[0]))
+        # Not current any more: the judge runs, and with no key it cannot ask.
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(cached)
+        assert excinfo.value.stage == "judge"
+        assert isinstance(excinfo.value.cause, AuthMissing)
+
+
+# One audit hook for the whole test run, since a hook cannot be removed; it
+# records only while the ``audited_reads`` fixture has set a root directory.
+_AUDIT: dict = {"installed": False, "root": None, "reads": []}
+
+
+def _audit_hook(event, args):
+    if event != "open" or _AUDIT["root"] is None or not isinstance(args[0], str):
+        return
+    path, mode, flags = args
+    reading = ("r" in mode or "+" in mode) if mode else (flags & os.O_ACCMODE) != os.O_WRONLY
+    path = os.path.realpath(path)
+    if reading and path.startswith(_AUDIT["root"] + os.sep):
+        _AUDIT["reads"].append(path)
+
+
+@pytest.fixture
+def audited_reads(tmp_path):
+    """The real paths of the files under ``tmp_path`` opened for reading."""
+    if not _AUDIT["installed"]:
+        sys.addaudithook(_audit_hook)
+        _AUDIT["installed"] = True
+    _AUDIT["reads"] = []
+    _AUDIT["root"] = os.path.realpath(str(tmp_path))
+    try:
+        yield _AUDIT["reads"]
+    finally:
+        _AUDIT["root"] = None
+
+
+class TestDeclaredReads:
+    def test_every_stage_reads_only_declared_files(self, tmp_path, audited_reads):
+        """Each file a stage opens for reading is a declared input, one of its
+        outputs, ``stage_keys.json``, or, for the judge only, a file of the
+        fixture directory its key covers."""
+        config = config_from_dict(_payload(tmp_path, n_sessions=60, n_anomalous=4))
+        # Fixtures from a separate run of the stages that build the prompts.
+        staged = replace(config, out_dir=str(tmp_path / "fx"))
+        for name in ("parse", "sessionize", "dataset"):
+            run_stage(name, staged)
+        fixtures = str(tmp_path / "fixtures")
+        _write_fixtures(staged, fixtures, lambda w: "ANOMALY" if w.label else "NORMAL")
+        config = replace(config, judge=replace(config.judge, enabled=True, fixtures=fixtures))
+        files = dict(artifact_paths(config.out_dir), logs=config.logs, labels=config.labels)
+        for stage in GRAPH:
+            audited_reads.clear()
+            run_stage(stage.name, config)
+            allowed = {files[n] for n in stage.inputs + stage.outputs + ("stage_keys",)}
+            opened = set(audited_reads)
+            if stage.name == "judge":
+                replies = {p for p in opened if os.path.dirname(p) == os.path.realpath(fixtures)}
+                assert replies, "the judge read no fixture"
+                opened -= replies
+            assert opened, stage.name
+            assert opened <= {os.path.realpath(p) for p in allowed}, stage.name
+
+
 class TestStageGuards:
     def test_short_context_budget_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_seq_len"):
@@ -722,12 +829,37 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arm", ["A", "C"])
+    def test_byte_order_marks_change_no_artifact(self, tmp_path, capsys, arm):
+        # The same corpus with and without a UTF-8 byte-order mark on the log
+        # and on the label file: both exit 0 with the same bytes in every
+        # artifact but those that record input paths, input hashes or time.
+        cfg = self._config_file(tmp_path, n_sessions=60, n_anomalous=4)
+        for name in ("hdfs.log", "labels.csv"):
+            path = tmp_path / name
+            (tmp_path / f"bom_{name}").write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        runs = {
+            "plain": [],
+            "bom": ["--logs", str(tmp_path / "bom_hdfs.log"),
+                    "--labels", str(tmp_path / "bom_labels.csv")],
+        }
+        for name, flags in runs.items():
+            argv = ["run", "--config", cfg, "--arm", arm, "--out", str(tmp_path / name)]
+            assert main(argv + flags) == 0, capsys.readouterr().err
+        skip = {"config_resolved.json", "report.json", "summary.txt", "stage_keys.json"}
+        names = sorted(set(os.listdir(tmp_path / "plain")) - skip)
+        assert names == sorted(set(os.listdir(tmp_path / "bom")) - skip)
+        assert "val.jsonl" in names
+        for name in names:
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "bom" / name).read_bytes() == plain, name
+
     def test_missing_logs_is_data_error(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path, logs=str(tmp_path / "absent.log"))
         assert main(["run", "--config", cfg]) == 2
         assert "stage parse failed" in capsys.readouterr().err
 
-    def test_divergence_is_internal_error(self, tmp_path, capsys):
+    def test_divergence_is_a_data_error(self, tmp_path, capsys):
         # Three epochs give the loop enough steps to hit the consecutive
         # skipped-step limit after the weights blow up.
         cfg = self._config_file(
@@ -738,8 +870,33 @@ class TestCli:
         )
         with np.errstate(all="ignore"):
             code = main(["run", "--config", cfg])
-        assert code == 3
+        assert code == 2
         assert "stage train failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # AdamW moves a weight by at most about lr * (1 + weight_decay * |w|),
+            # so the weights stay finite near 1e300, the next losses are not,
+            # and three skipped steps stop the run.
+            (["train.learning_rate=1e300"], "3 consecutive skipped steps at step 4"),
+            # The decay term overflows in the first step.
+            (["train.learning_rate=1e300", "train.weight_decay=1e10"],
+             "is not finite after step 1"),
+        ],
+        ids=["rate", "rate_and_decay"],
+    )
+    def test_huge_learning_rate_stops_training(self, tmp_path, capsys, overrides, message):
+        cfg = self._config_file(tmp_path, n_sessions=60, n_anomalous=4)
+        argv = ["run", "--config", cfg]
+        for override in overrides:
+            argv += ["--set", override]
+        with np.errstate(all="ignore"):
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "stage train failed" in err and message in err
+        assert not (tmp_path / "out" / "checkpoint.json").exists()
+        assert not (tmp_path / "out" / "eval_metrics.json").exists()
 
     def test_non_finite_scores_are_a_data_error(self, tmp_path, capsys):
         # Two optimizer steps leave the weights non-finite, too few for three
@@ -764,7 +921,7 @@ class TestCli:
 
     def test_exit_code_mapping(self):
         assert _exit_code_for(ShapeMismatch("bad")) == 3
-        assert _exit_code_for(Diverged("boom")) == 3
+        assert _exit_code_for(Diverged("boom")) == 2
         assert _exit_code_for(ValueError("bad value")) == 2
         assert _exit_code_for(OSError("gone")) == 2
         assert _exit_code_for(KeyError("missing")) == 2

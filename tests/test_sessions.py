@@ -77,6 +77,11 @@ class TestBuildSessions:
         assert table["blk_1003"] == LABEL_ANOMALY
         assert table["blk_1001"] == LABEL_NORMAL
 
+    def test_label_table_skips_byte_order_mark(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + SAMPLE_LABELS.read_bytes())
+        assert load_label_table(str(path)) == load_label_table(str(SAMPLE_LABELS))
+
     def test_label_table_bad_label_raises(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("BlockId,Label\nblk_1,Maybe\n")

@@ -200,6 +200,15 @@ class TestGuards:
                 train(_toy_model(), split, config, TRAIN_SEED)
 
 
+    def test_non_finite_parameters_stop_at_once(self):
+        # The weight-decay term overflows in the first step, whose loss was
+        # finite; the loop stops there rather than skip the next steps.
+        split = _split(seed=5, n=80, rate=0.2)
+        config = _toy_config(learning_rate=1e300, weight_decay=1e10, epochs=3)
+        with np.errstate(all="ignore"):
+            with pytest.raises(Diverged, match="not finite after step 1$"):
+                train(_toy_model(), split, config, TRAIN_SEED)
+
     def test_epoch_with_non_finite_scores_is_never_best(self):
         # The weights go non-finite in epoch 3 after one skipped step, too
         # few to stop training.
